@@ -31,6 +31,12 @@ fn cache_bench(c: &mut Criterion) {
             std::hint::black_box(cache.occupancy() > 0)
         })
     });
+    // A cell's largest tables: build and drop a golden-cove LLC. After the first
+    // iteration every build reuses the tables the previous drop put in the recycle bin.
+    let llc = SimConfig::golden_cove_like().llc;
+    group.bench_function("new_and_drop_llc", |b| {
+        b.iter(|| std::hint::black_box(Cache::new(llc, CacheLevel::Llc).latency()))
+    });
     group.finish();
 }
 

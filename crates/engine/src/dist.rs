@@ -1,12 +1,22 @@
-//! Distributed experiment execution: coordinator-side sharding and the worker serve loop.
+//! Distributed experiment execution: the coordinator's worker pool and the worker serve
+//! loop.
 //!
 //! The in-process pool ([`crate::pool`]) caps a sweep at one process. This module adds
-//! the process boundary: a coordinator ([`DistPool`]) splits a batch of [`Job`]s into
-//! per-worker shards, spawns worker processes (any binary that calls [`serve`] — the
-//! `figures`/`tune` CLIs do so under `--worker`), streams per-cell result records back
-//! over the workers' stdio, and merges them **in submission order**, so every table and
-//! leaderboard is byte-identical at any worker count — exactly the contract the
-//! in-process pool honours.
+//! the process boundary: a coordinator ([`DistPool`]) runs batches of [`Job`]s on worker
+//! processes (any binary that calls [`serve`] — the `figures`/`tune` CLIs do so under
+//! `--worker`), streams per-cell result records back over the workers' stdio, and merges
+//! them **in submission order**, so every table and leaderboard is byte-identical at any
+//! worker count — exactly the contract the in-process pool honours.
+//!
+//! # Worker lifetime and dispatch
+//!
+//! A pool spawns its workers lazily, on the first batch that needs them, and keeps them
+//! for every later batch: the workers live until the last clone of the pool drops. That
+//! drop closes each worker's stdin and waits for it, so a worker's CPU time is reaped
+//! (and counted) by the time the pool is gone. Cells go out on demand: each worker holds
+//! at most [`MAX_IN_FLIGHT`] cells (only one once the queue runs short), and every result
+//! it returns pulls the next queued cell, so a batch's slow cells never leave one worker
+//! with a static tail.
 //!
 //! # Wire protocol
 //!
@@ -16,46 +26,55 @@
 //! [kind: u8] [len: u32 LE] [fnv64(payload): u64 LE] [payload: len bytes]
 //! ```
 //!
-//! Payloads are JSON documents declaring a [`crate::report::Schema`]
-//! (`athena-dist-*-v1`); the checksum is the same FNV-1a 64 the result store uses
-//! ([`athena_store::fnv64`]). The conversation is strictly: worker sends `HELLO`;
-//! coordinator sends one `SHARD` (an indexed job list, jobs serialised by
-//! [`crate::wire::job_json`], plus the coordinator's profiling switch); worker answers
-//! one `RESULT` per cell — the cell's wall-clock in nanoseconds, its phase profile when
-//! profiling, and either the error of a panicked cell or the self-describing
-//! `athena-result-record-v1` envelope the result store writes — then `DONE`; coordinator
-//! closes the worker's stdin and the worker exits. Workers run each cell through the same
-//! bracket as the in-process executor and write no event lines: the coordinator's merge
-//! renders every simulated cell's events from its result, attributed to the worker id
-//! and the pid the worker announced in its `HELLO`. A dead worker therefore leaves
-//! nothing in the log — a cell's events exist only once its `RESULT` has merged.
+//! The checksum is the same FNV-1a 64 the result store uses ([`athena_store::fnv64`]).
+//! The worker opens with `HELLO` (an `athena-dist-hello-v3` document carrying its pid).
+//! The coordinator then sends one `SHARD` per cell (an indexed job list serialised by
+//! [`crate::wire::job_json`], plus the coordinator's profiling switch), and the worker
+//! answers each cell with one `RESULT`:
+//!
+//! ```text
+//! [header_len: u32 LE] [header: athena-dist-result-v2 JSON] [record bytes]
+//! ```
+//!
+//! The header holds the cell index, its wall-clock in nanoseconds, its phase profile when
+//! profiling, and the error of a panicked cell. The record bytes are the
+//! `athena-result-record-v1` envelope [`StoreHandle::encode`] wrote on the worker, carried
+//! verbatim (empty for a panicked cell); the coordinator parses them once. Closing a
+//! worker's stdin ends its serve loop. Workers run each cell through the same bracket as
+//! the in-process executor and write no event lines: the coordinator's merge renders
+//! every simulated cell's events from its result, attributed to the worker id and the
+//! pid the worker announced in its `HELLO`. A dead worker therefore leaves nothing in the
+//! log — a cell's events exist only once its `RESULT` has merged.
 //!
 //! # Failure discipline
 //!
 //! The two failure classes are deliberately treated differently:
 //!
 //! * **Death** — EOF or a truncated frame on a worker's stdout (crash, SIGKILL, broken
-//!   pipe). The coordinator reassigns the worker's unfinished cells to a freshly spawned
-//!   worker, at most [`MAX_ATTEMPTS`] attempts per cell, then fails loudly. Because a
-//!   cell's result is a pure function of the job, a retried cell is the *same* cell.
-//! * **Corruption** — a complete frame whose checksum or schema does not match, or a
-//!   result record whose `(identity, variant)` key disagrees with the job it claims to
-//!   answer. The coordinator panics immediately: a lying record is never merged, and
-//!   never silently recomputed over.
+//!   pipe), in a batch or while the pool sat idle. The coordinator reassigns the dead
+//!   worker's cells in flight to a freshly spawned worker, at most [`MAX_ATTEMPTS`]
+//!   attempts per cell, then fails loudly. Because a cell's result is a pure function of
+//!   the job, a retried cell is the *same* cell.
+//! * **Corruption** — a complete frame whose checksum or schema does not match, a result
+//!   missing a field it must carry, or a result record whose `(identity, variant)` key
+//!   disagrees with the job it claims to answer. The coordinator panics immediately: a
+//!   lying record is never merged, and never silently recomputed over.
 //!
-//! Worker-side *cell* panics are neither: they are caught per cell (by the same bracket
-//! the in-process executor uses) and travel back as `error` results, merging as that cell's
-//! `Err` outcome with no retry.
+//! A batch that fails either way kills the pool's workers; the next batch spawns fresh
+//! ones. Worker-side *cell* panics are neither: they are caught per cell (by the same
+//! bracket the in-process executor uses) and travel back as `error` results, merging as
+//! that cell's `Err` outcome with no retry.
 //!
 //! Every lifecycle step emits a structured event ([`athena_probe::Event`]:
 //! `worker_joined`, `shard_dispatched`, `worker_died`, `cell_reassigned`) so a
 //! distributed run is observable after the fact.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use athena_probe::{metrics, CellOrigin, Event, ProbeSink};
@@ -65,14 +84,18 @@ use crate::exec::{run_cell, CellRun};
 use crate::job::Job;
 use crate::json::Json;
 use crate::report::{
-    phase_profile_from_json, phase_profile_json, u64_json, u64_value, DIST_DONE_SCHEMA,
-    DIST_HELLO_SCHEMA, DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA, RESULT_RECORD_SCHEMA,
+    phase_profile_from_json, phase_profile_json, u64_json, u64_value, DIST_HELLO_SCHEMA,
+    DIST_RESULT_SCHEMA, DIST_SHARD_SCHEMA, RESULT_RECORD_SCHEMA,
 };
 use crate::store::{record_key, StoreHandle};
 use crate::wire::{job_from_json, job_json};
 
 /// Maximum attempts per cell before a repeatedly dying assignment fails the batch.
 pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Cells one worker holds at most: the one it runs and the one it reads next, so it
+/// never waits on the coordinator between cells.
+pub const MAX_IN_FLIGHT: usize = 2;
 
 /// How long the coordinator waits for *any* worker message before declaring the batch
 /// stalled. Generous on purpose: it only exists to turn a hung worker into a loud
@@ -86,7 +109,6 @@ const MAX_FRAME_LEN: u32 = 1 << 30;
 const KIND_HELLO: u8 = 1;
 const KIND_SHARD: u8 = 2;
 const KIND_RESULT: u8 = 3;
-const KIND_DONE: u8 = 4;
 
 /// Bytes of a frame's fixed header (`kind` + `len` + checksum), counted by the
 /// frame-byte metrics alongside the payload.
@@ -97,15 +119,15 @@ const FRAME_HEADER_BYTES: u64 = 1 + 4 + 8;
 // ---------------------------------------------------------------------------------------
 
 fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&[kind])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&fnv64(payload).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
+    frame.push(kind);
+    frame.extend((payload.len() as u32).to_le_bytes());
+    frame.extend(fnv64(payload).to_le_bytes());
+    frame.extend(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     metrics().frames_sent.incr();
-    metrics()
-        .frame_bytes_sent
-        .add(FRAME_HEADER_BYTES + payload.len() as u64);
+    metrics().frame_bytes_sent.add(frame.len() as u64);
     Ok(())
 }
 
@@ -118,7 +140,7 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     if r.read(&mut kind)? == 0 {
         return Ok(None);
     }
-    if !(KIND_HELLO..=KIND_DONE).contains(&kind[0]) {
+    if !(KIND_HELLO..=KIND_RESULT).contains(&kind[0]) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unknown frame kind {}", kind[0]),
@@ -196,21 +218,43 @@ impl WorkerCommand {
     }
 }
 
-/// A distributed executor: runs job batches on `workers` spawned worker processes
-/// instead of in-process threads, with in-order merge and bounded retry (see the module
-/// docs). Plug one into an engine with [`crate::Engine::with_dist`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A distributed executor: runs job batches on up to `workers` worker processes instead
+/// of in-process threads, with in-order merge and bounded retry (see the module docs).
+/// Plug one into an engine with [`crate::Engine::with_dist`].
+///
+/// Clones share one set of worker processes, spawned on the first batch; they exit when
+/// the last clone drops. Pools compare equal by configuration.
+#[derive(Clone)]
 pub struct DistPool {
     command: WorkerCommand,
     workers: usize,
+    crew: Arc<Mutex<Crew>>,
 }
 
+impl fmt::Debug for DistPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DistPool")
+            .field("command", &self.command)
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for DistPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.command == other.command && self.workers == other.workers
+    }
+}
+
+impl Eq for DistPool {}
+
 impl DistPool {
-    /// A pool spawning up to `workers` processes per batch via `command`.
+    /// A pool of up to `workers` processes launched via `command`. Spawns nothing yet.
     pub fn new(command: WorkerCommand, workers: usize) -> Self {
         Self {
             command,
             workers: workers.max(1),
+            crew: Arc::new(Mutex::new(Crew::new())),
         }
     }
 
@@ -227,7 +271,8 @@ impl DistPool {
     /// Runs every job on the worker processes and returns one [`CellRun`] per job, in
     /// submission order: the cell's outcome (`Err(message)` for a cell that panicked on a
     /// worker), its worker-measured wall-clock and phase profile, and the worker it ran
-    /// on. With `progress`, a live per-worker status line is kept on stderr.
+    /// on. With `progress`, a live per-worker status line is kept on stderr. Batches on
+    /// clones of one pool run one at a time.
     ///
     /// # Panics
     ///
@@ -243,15 +288,19 @@ impl DistPool {
         if jobs.is_empty() {
             return Vec::new();
         }
+        // A batch that panicked killed its workers before unwinding, so a poisoned crew
+        // is an empty one.
+        let mut crew = self.crew.lock().unwrap_or_else(PoisonError::into_inner);
         let mut batch = Batch {
             pool: self,
+            crew: &mut crew,
             probe,
             progress,
             jobs,
             runs: vec![None; jobs.len()],
             filled: 0,
             attempts: vec![0u32; jobs.len()],
-            workers: Vec::new(),
+            queue: (0..jobs.len()).collect(),
             completed: BTreeMap::new(),
             reassigned: 0,
             started: Instant::now(),
@@ -289,26 +338,67 @@ struct Msg {
 struct Worker {
     id: usize,
     child: Child,
-    /// Kept open until the worker's shard is done; dropping it signals the worker to
-    /// exit its serve loop.
-    stdin: Option<ChildStdin>,
+    /// Open for the worker's whole life; closing it ends the worker's serve loop.
+    stdin: ChildStdin,
     /// The OS pid the worker announced in its `HELLO` frame.
     pid: Option<u64>,
-    /// Cell indices assigned to this worker and not yet answered.
-    outstanding: BTreeSet<usize>,
-    /// Whether the worker's `DONE` frame (or a benign EOF) arrived.
-    finished: bool,
+    /// Cells of the current batch sent to this worker and not yet answered, in dispatch
+    /// order. Empty between batches.
+    in_flight: Vec<usize>,
+}
+
+/// A pool's live worker processes and the channel their reader threads feed.
+struct Crew {
+    workers: Vec<Worker>,
+    /// Id of the next worker to spawn: ids are never reused within a pool.
+    next_id: usize,
+    tx: mpsc::Sender<Msg>,
+    rx: mpsc::Receiver<Msg>,
+}
+
+impl Crew {
+    fn new() -> Self {
+        let (tx, rx) = mpsc::channel();
+        Self {
+            workers: Vec::new(),
+            next_id: 0,
+            tx,
+            rx,
+        }
+    }
+
+    /// Kills and reaps every worker and starts a fresh channel, so nothing a killed
+    /// worker said can reach a later batch.
+    fn kill_all(&mut self) {
+        for mut w in self.workers.drain(..) {
+            let _ = w.child.kill();
+            let _ = w.child.wait();
+        }
+        (self.tx, self.rx) = mpsc::channel();
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        // Close every stdin first so the workers exit in parallel, then reap each one.
+        let children: Vec<Child> = self.workers.drain(..).map(|w| w.child).collect();
+        for mut child in children {
+            let _ = child.wait();
+        }
+    }
 }
 
 struct Batch<'a> {
     pool: &'a DistPool,
+    crew: &'a mut Crew,
     probe: Option<&'a ProbeSink>,
     progress: bool,
     jobs: &'a [Job],
     runs: Vec<Option<CellRun>>,
     filled: usize,
     attempts: Vec<u32>,
-    workers: Vec<Worker>,
+    /// Cells not yet sent to any worker, in dispatch order.
+    queue: VecDeque<usize>,
     /// Cells completed per worker id, for the `--progress` breakdown.
     completed: BTreeMap<usize, usize>,
     /// Cells re-dispatched after worker deaths.
@@ -318,12 +408,11 @@ struct Batch<'a> {
 
 impl Drop for Batch<'_> {
     fn drop(&mut self) {
-        // Leave no orphans behind, whether the batch completed, panicked on corruption,
-        // or gave up on a dying assignment.
-        for w in &mut self.workers {
-            w.stdin.take();
-            let _ = w.child.kill();
-            let _ = w.child.wait();
+        // A batch that stopped early (corruption, a cell out of attempts, a stall) left
+        // its workers mid-protocol: leave no orphans, and no half-told story for the next
+        // batch.
+        if self.filled < self.jobs.len() {
+            self.crew.kill_all();
         }
     }
 }
@@ -336,16 +425,21 @@ impl Batch<'_> {
     }
 
     fn run(&mut self) {
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let n = self.pool.workers.min(self.jobs.len());
-        // Round-robin static shards: worker w starts with cells w, w+n, w+2n, …
-        for w in 0..n {
-            let cells: Vec<usize> = (w..self.jobs.len()).step_by(n).collect();
-            self.spawn_worker(w, &cells, &tx);
+        // Deaths that arrived while the pool sat idle between batches.
+        while let Ok(msg) = self.crew.rx.try_recv() {
+            self.handle(msg);
         }
-        let mut next_id = n;
+        while self.crew.workers.len() < self.pool.workers.min(self.jobs.len()) {
+            self.spawn_worker();
+        }
+        // Deal the first cells round-robin, so a small batch still spreads out.
+        for _ in 0..MAX_IN_FLIGHT {
+            for slot in 0..self.crew.workers.len() {
+                self.dispatch_next(slot);
+            }
+        }
         while self.filled < self.jobs.len() {
-            let msg = match rx.recv_timeout(RECV_TIMEOUT) {
+            let msg = match self.crew.rx.recv_timeout(RECV_TIMEOUT) {
                 Ok(msg) => msg,
                 Err(_) => panic!(
                     "distributed batch stalled: no worker message for {}s with {} of {} \
@@ -355,78 +449,81 @@ impl Batch<'_> {
                     self.jobs.len()
                 ),
             };
-            let slot = self
-                .workers
-                .iter()
-                .position(|w| w.id == msg.worker)
-                .expect("message from a known worker");
-            match msg.body {
-                MsgBody::Frame(KIND_HELLO, payload) => self.check_hello(slot, &payload),
-                MsgBody::Frame(KIND_RESULT, payload) => self.merge_result(slot, &payload),
-                MsgBody::Frame(KIND_DONE, _) => {
-                    self.workers[slot].finished = true;
-                    // Closing stdin tells the worker its shard was the last one.
-                    self.workers[slot].stdin.take();
-                }
-                MsgBody::Frame(kind, _) => panic!(
-                    "distributed worker #{}: protocol violation: unexpected frame kind {kind}",
-                    msg.worker
-                ),
-                MsgBody::Eof | MsgBody::Died(_) => {
-                    let detail = match msg.body {
-                        MsgBody::Died(detail) => detail,
-                        _ => "stream ended before DONE".to_string(),
-                    };
-                    let unfinished: Vec<usize> =
-                        self.workers[slot].outstanding.iter().copied().collect();
-                    if self.workers[slot].finished || unfinished.is_empty() {
-                        // Normal exit after DONE, or a death that cost nothing.
-                        self.workers[slot].finished = true;
-                        continue;
-                    }
-                    self.emit(&Event::WorkerDied {
-                        worker: msg.worker,
-                        outstanding: unfinished.len(),
-                        error: detail.clone(),
-                    });
-                    self.reassigned += unfinished.len();
-                    metrics().cell_retries.add(unfinished.len() as u64);
-                    for &i in &unfinished {
-                        self.attempts[i] += 1;
-                        assert!(
-                            self.attempts[i] < MAX_ATTEMPTS,
-                            "cell '{}' lost its worker {MAX_ATTEMPTS} times (last: {detail}); \
-                             giving up on the batch",
-                            self.jobs[i].label()
-                        );
-                    }
-                    self.workers[slot].finished = true;
-                    self.workers[slot].outstanding.clear();
-                    let to_worker = next_id;
-                    next_id += 1;
-                    for &i in &unfinished {
-                        self.emit(&Event::CellReassigned {
-                            experiment: self.jobs[i].experiment.clone(),
-                            label: self.jobs[i].label(),
-                            from_worker: msg.worker,
-                            to_worker,
-                        });
-                    }
-                    self.spawn_worker(to_worker, &unfinished, &tx);
-                }
-                MsgBody::Corrupt(detail) => panic!(
-                    "distributed worker #{} sent a corrupt frame ({detail}); refusing to \
-                     merge anything it said — rerun, and if this repeats check the host",
-                    msg.worker
-                ),
-            }
+            self.handle(msg);
         }
     }
 
-    /// Spawns one worker, ships its shard, and starts its reader thread. A shard that
-    /// cannot be written (worker died before reading it) is reported back through the
-    /// channel as a death, so the normal reassignment path retries it.
-    fn spawn_worker(&mut self, id: usize, cells: &[usize], tx: &mpsc::Sender<Msg>) {
+    fn handle(&mut self, msg: Msg) {
+        let slot = self
+            .crew
+            .workers
+            .iter()
+            .position(|w| w.id == msg.worker)
+            .expect("message from a live worker");
+        match msg.body {
+            MsgBody::Frame(KIND_HELLO, payload) => self.check_hello(slot, &payload),
+            MsgBody::Frame(KIND_RESULT, payload) => {
+                self.merge_result(slot, &payload);
+                self.dispatch_next(slot);
+            }
+            MsgBody::Frame(kind, _) => panic!(
+                "distributed worker #{}: protocol violation: unexpected frame kind {kind}",
+                msg.worker
+            ),
+            MsgBody::Eof => self.bury(slot, "stream ended".to_string()),
+            MsgBody::Died(detail) => self.bury(slot, detail),
+            MsgBody::Corrupt(detail) => panic!(
+                "distributed worker #{} sent a corrupt frame ({detail}); refusing to \
+                 merge anything it said — rerun, and if this repeats check the host",
+                msg.worker
+            ),
+        }
+    }
+
+    /// Retires a dead worker. Its cells in flight go back to the front of the queue and
+    /// to a replacement worker spawned at once; a worker that died idle is replaced
+    /// when a batch next needs it.
+    fn bury(&mut self, slot: usize, detail: String) {
+        let mut dead = self.crew.workers.remove(slot);
+        let _ = dead.child.kill();
+        let _ = dead.child.wait();
+        let orphans = dead.in_flight;
+        self.emit(&Event::WorkerDied {
+            worker: dead.id,
+            outstanding: orphans.len(),
+            error: detail.clone(),
+        });
+        if orphans.is_empty() {
+            return;
+        }
+        self.reassigned += orphans.len();
+        metrics().cell_retries.add(orphans.len() as u64);
+        for &i in &orphans {
+            self.attempts[i] += 1;
+            assert!(
+                self.attempts[i] < MAX_ATTEMPTS,
+                "cell '{}' lost its worker {MAX_ATTEMPTS} times (last: {detail}); \
+                 giving up on the batch",
+                self.jobs[i].label()
+            );
+            self.emit(&Event::CellReassigned {
+                experiment: self.jobs[i].experiment.clone(),
+                label: self.jobs[i].label(),
+                from_worker: dead.id,
+                to_worker: self.crew.next_id,
+            });
+        }
+        for &i in orphans.iter().rev() {
+            self.queue.push_front(i);
+        }
+        let slot = self.spawn_worker();
+        for _ in 0..MAX_IN_FLIGHT {
+            self.dispatch_next(slot);
+        }
+    }
+
+    /// Spawns one worker and starts its reader thread; returns its slot.
+    fn spawn_worker(&mut self) -> usize {
         let cmd = &self.pool.command;
         let mut child = Command::new(&cmd.program)
             .args(&cmd.args)
@@ -441,19 +538,15 @@ impl Batch<'_> {
                     cmd.program.display()
                 )
             });
-        let mut stdin = child.stdin.take().expect("piped stdin");
+        let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
+        let id = self.crew.next_id;
+        self.crew.next_id += 1;
         self.emit(&Event::WorkerJoined {
             worker: id,
             pid: child.id() as u64,
         });
-        let payload = shard_payload(self.jobs, cells);
-        self.emit(&Event::ShardDispatched {
-            worker: id,
-            cells: cells.len(),
-            bytes: payload.len(),
-        });
-        let reader_tx = tx.clone();
+        let reader_tx = self.crew.tx.clone();
         std::thread::spawn(move || {
             let mut stdout = io::BufReader::new(stdout);
             loop {
@@ -471,27 +564,44 @@ impl Batch<'_> {
                 }
             }
         });
-        let shard_sent = write_frame(&mut stdin, KIND_SHARD, &payload);
-        self.workers.push(Worker {
+        self.crew.workers.push(Worker {
             id,
             child,
-            stdin: Some(stdin),
+            stdin,
             pid: None,
-            outstanding: cells.iter().copied().collect(),
-            finished: false,
+            in_flight: Vec::new(),
         });
-        if let Err(e) = shard_sent {
-            // The worker died before reading its shard; the reader thread will also see
-            // EOF, but the write error is the more precise diagnosis.
-            let _ = tx.send(Msg {
-                worker: id,
-                body: MsgBody::Died(format!("shard could not be written: {e}")),
-            });
+        self.crew.workers.len() - 1
+    }
+
+    /// Sends the next queued cell to the worker in `slot`, if it has room for one. An
+    /// idle worker always has room. A second cell only hides the round trip between
+    /// cells, so a busy worker gets one only while the queue holds a cell for every
+    /// worker: near a batch's end it would strand a cell behind a running one while
+    /// another worker idles. A shard that cannot be written needs no handling here: the
+    /// worker is dead, and its reader thread reports the death, which reassigns the cell.
+    fn dispatch_next(&mut self, slot: usize) {
+        let held = self.crew.workers[slot].in_flight.len();
+        if held >= MAX_IN_FLIGHT || (held > 0 && self.queue.len() < self.crew.workers.len()) {
+            return;
         }
+        let Some(index) = self.queue.pop_front() else {
+            return;
+        };
+        let payload = shard_payload(index, &self.jobs[index]);
+        let worker = &mut self.crew.workers[slot];
+        worker.in_flight.push(index);
+        let _ = write_frame(&mut worker.stdin, KIND_SHARD, &payload);
+        let id = worker.id;
+        self.emit(&Event::ShardDispatched {
+            worker: id,
+            cells: 1,
+            bytes: payload.len(),
+        });
     }
 
     fn check_hello(&mut self, slot: usize, payload: &[u8]) {
-        let worker = self.workers[slot].id;
+        let worker = self.crew.workers[slot].id;
         let doc = parse_payload(worker, payload);
         if !DIST_HELLO_SCHEMA.matches(&doc) {
             panic!(
@@ -501,7 +611,7 @@ impl Batch<'_> {
             );
         }
         let pid = doc.get("pid").and_then(u64_value);
-        self.workers[slot].pid =
+        self.crew.workers[slot].pid =
             Some(pid.unwrap_or_else(|| panic!("distributed worker #{worker}: HELLO has no pid")));
     }
 
@@ -513,7 +623,7 @@ impl Batch<'_> {
         }
         let total = self.jobs.len();
         let done = self.filled;
-        let live = self.workers.iter().filter(|w| !w.finished).count();
+        let live = self.crew.workers.len();
         let per: Vec<String> = self
             .completed
             .iter()
@@ -531,89 +641,25 @@ impl Batch<'_> {
     /// Verifies and merges one `RESULT` frame. Every mismatch in here is corruption — a
     /// checksum-valid frame whose *content* lies — and panics rather than merging.
     fn merge_result(&mut self, slot: usize, payload: &[u8]) {
-        let worker = self.workers[slot].id;
-        let doc = parse_payload(worker, payload);
-        assert!(
-            DIST_RESULT_SCHEMA.matches(&doc),
-            "distributed worker #{worker}: result frame does not declare schema '{}'",
-            DIST_RESULT_SCHEMA.id()
-        );
-        let index = doc
-            .get("index")
-            .and_then(u64_value)
-            .unwrap_or_else(|| panic!("distributed worker #{worker}: result has no cell index"))
-            as usize;
-        assert!(
-            self.workers[slot].outstanding.remove(&index),
-            "distributed worker #{worker} answered cell {index}, which it does not own"
-        );
-        let pid = self.workers[slot].pid.unwrap_or_else(|| {
+        let worker = self.crew.workers[slot].id;
+        let (index, mut run) = decode_result(worker, payload, self.jobs);
+        let in_flight = &mut self.crew.workers[slot].in_flight;
+        let owned = in_flight
+            .iter()
+            .position(|&i| i == index)
+            .unwrap_or_else(|| {
+                panic!("distributed worker #{worker} answered cell {index}, which it does not own")
+            });
+        in_flight.remove(owned);
+        let pid = self.crew.workers[slot].pid.unwrap_or_else(|| {
             panic!("distributed worker #{worker}: protocol violation: RESULT before HELLO")
         });
-        let job = &self.jobs[index];
-        let wall = Duration::from_nanos(doc.get("wall_nanos").and_then(u64_value).unwrap_or(0));
-        let profile = doc.get("profile").map(|p| {
-            phase_profile_from_json(p).unwrap_or_else(|e| {
-                panic!(
-                    "distributed worker #{worker}: cell {index} sent an undecodable profile: {e}"
-                )
-            })
-        });
-        let outcome = if let Some(error) = doc.get("error") {
-            let message = error
-                .as_str()
-                .unwrap_or_else(|| {
-                    panic!("distributed worker #{worker}: non-string error for cell {index}")
-                })
-                .to_string();
-            Err(message)
-        } else {
-            let record = doc.get("record").unwrap_or_else(|| {
-                panic!("distributed worker #{worker}: result for cell {index} has no record")
-            });
-            assert!(
-                RESULT_RECORD_SCHEMA.matches(record),
-                "distributed worker #{worker}: cell {index} record does not declare \
-                 schema '{}'",
-                RESULT_RECORD_SCHEMA.id()
-            );
-            let key = record_key(job);
-            let sent_identity = record.get("identity").and_then(Json::as_hex_u64);
-            let sent_variant = record.get("variant").and_then(Json::as_hex_u64);
-            if sent_identity != Some(key.identity) || sent_variant != Some(key.variant) {
-                panic!(
-                    "distributed worker #{worker} sent a lying record for cell '{}': \
-                     claims key {}.{}, the job's key is {:016x}.{:016x} — refusing to merge",
-                    job.label(),
-                    sent_identity.map_or("?".into(), |v| format!("{v:016x}")),
-                    sent_variant.map_or("?".into(), |v| format!("{v:016x}")),
-                    key.identity,
-                    key.variant
-                );
-            }
-            let output = record
-                .get("output")
-                .ok_or("record has no 'output' field".to_string())
-                .and_then(crate::report::job_output_from_json)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "distributed worker #{worker}: record for cell '{}' does not \
-                         decode: {e}",
-                        job.label()
-                    )
-                });
-            Ok(output)
-        };
         assert!(
             self.runs[index].is_none(),
             "cell {index} resolved twice — workers overlapped"
         );
-        self.runs[index] = Some(CellRun {
-            outcome,
-            wall,
-            profile,
-            origin: Some(CellOrigin { worker, pid }),
-        });
+        run.origin = Some(CellOrigin { worker, pid });
+        self.runs[index] = Some(run);
         self.filled += 1;
         *self.completed.entry(worker).or_insert(0) += 1;
         self.print_progress();
@@ -628,25 +674,140 @@ fn parse_payload(worker: usize, payload: &[u8]) -> Json {
         .unwrap_or_else(|e| panic!("distributed worker #{worker}: frame payload is not JSON: {e}"))
 }
 
-fn shard_payload(jobs: &[Job], cells: &[usize]) -> Vec<u8> {
-    let cells = cells
-        .iter()
-        .map(|&i| {
-            Json::obj(vec![
-                ("index", u64_json(i as u64)),
-                ("job", job_json(&jobs[i])),
-            ])
-        })
-        .collect();
+/// A `SHARD` payload holding the one cell `index`.
+fn shard_payload(index: usize, job: &Job) -> Vec<u8> {
+    let cell = Json::obj(vec![
+        ("index", u64_json(index as u64)),
+        ("job", job_json(job)),
+    ]);
     DIST_SHARD_SCHEMA
         .document(vec![
-            ("cells", Json::arr(cells)),
+            ("cells", Json::arr(vec![cell])),
             // The coordinator's profiling switch rides along so workers accrue phase
             // profiles exactly when an in-process run would.
             ("profile", Json::Bool(athena_probe::profiling_enabled())),
         ])
         .to_string()
         .into_bytes()
+}
+
+/// A `RESULT` payload: the length-prefixed header document, then the cell's store record
+/// bytes verbatim (nothing for a panicked cell).
+fn result_payload(index: u64, job: &Job, run: &CellRun) -> Vec<u8> {
+    let mut fields = vec![
+        ("index", u64_json(index)),
+        ("wall_nanos", u64_json(run.wall.as_nanos() as u64)),
+    ];
+    if let Some(profile) = &run.profile {
+        fields.push(("profile", phase_profile_json(profile)));
+    }
+    let record = match &run.outcome {
+        Ok(output) => StoreHandle::encode(job, output),
+        Err(message) => {
+            fields.push(("error", Json::str(message)));
+            Vec::new()
+        }
+    };
+    let header = DIST_RESULT_SCHEMA.document(fields).to_string();
+    let mut payload = Vec::with_capacity(4 + header.len() + record.len());
+    payload.extend((header.len() as u32).to_le_bytes());
+    payload.extend(header.as_bytes());
+    payload.extend(record);
+    payload
+}
+
+/// Decodes a `RESULT` payload from `worker` into its cell index and run (with no
+/// origin), parsing the record once and checking it against the job at that index.
+///
+/// # Panics
+///
+/// Panics on corruption: a malformed header, a missing `index` or `wall_nanos`, an index
+/// outside `jobs`, record bytes beside an error, or a record that does not decode or
+/// whose `(identity, variant)` key is not its job's.
+fn decode_result(worker: usize, payload: &[u8], jobs: &[Job]) -> (usize, CellRun) {
+    let corrupt = |what: &str| -> ! { panic!("distributed worker #{worker}: {what}") };
+    let header_len = payload
+        .get(..4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("four bytes")) as usize)
+        .unwrap_or_else(|| corrupt("result frame too short for its header length"));
+    let Some((header, record)) = payload[4..].split_at_checked(header_len) else {
+        corrupt("result header runs past the end of its frame")
+    };
+    let doc = parse_payload(worker, header);
+    assert!(
+        DIST_RESULT_SCHEMA.matches(&doc),
+        "distributed worker #{worker}: result frame does not declare schema '{}'",
+        DIST_RESULT_SCHEMA.id()
+    );
+    let index = doc
+        .get("index")
+        .and_then(u64_value)
+        .unwrap_or_else(|| corrupt("result has no cell index")) as usize;
+    let job = jobs
+        .get(index)
+        .unwrap_or_else(|| corrupt(&format!("result for cell {index}, past the batch's end")));
+    let wall = doc
+        .get("wall_nanos")
+        .and_then(u64_value)
+        .map(Duration::from_nanos)
+        .unwrap_or_else(|| corrupt(&format!("result for cell {index} has no wall_nanos")));
+    let profile = doc.get("profile").map(|p| {
+        phase_profile_from_json(p)
+            .unwrap_or_else(|e| corrupt(&format!("cell {index} sent an undecodable profile: {e}")))
+    });
+    let outcome = if let Some(error) = doc.get("error") {
+        let message = error
+            .as_str()
+            .unwrap_or_else(|| corrupt(&format!("non-string error for cell {index}")));
+        assert!(
+            record.is_empty(),
+            "distributed worker #{worker}: cell {index} sent a record beside its error"
+        );
+        Err(message.to_string())
+    } else {
+        if record.is_empty() {
+            corrupt(&format!("result for cell {index} has no record"));
+        }
+        let record = parse_payload(worker, record);
+        assert!(
+            RESULT_RECORD_SCHEMA.matches(&record),
+            "distributed worker #{worker}: cell {index} record does not declare \
+             schema '{}'",
+            RESULT_RECORD_SCHEMA.id()
+        );
+        let key = record_key(job);
+        let sent_identity = record.get("identity").and_then(Json::as_hex_u64);
+        let sent_variant = record.get("variant").and_then(Json::as_hex_u64);
+        if sent_identity != Some(key.identity) || sent_variant != Some(key.variant) {
+            panic!(
+                "distributed worker #{worker} sent a lying record for cell '{}': \
+                 claims key {}.{}, the job's key is {:016x}.{:016x} — refusing to merge",
+                job.label(),
+                sent_identity.map_or("?".into(), |v| format!("{v:016x}")),
+                sent_variant.map_or("?".into(), |v| format!("{v:016x}")),
+                key.identity,
+                key.variant
+            );
+        }
+        let output = record
+            .get("output")
+            .ok_or("record has no 'output' field".to_string())
+            .and_then(crate::report::job_output_from_json)
+            .unwrap_or_else(|e| {
+                corrupt(&format!(
+                    "record for cell '{}' does not decode: {e}",
+                    job.label()
+                ))
+            });
+        Ok(output)
+    };
+    let run = CellRun {
+        outcome,
+        wall,
+        profile,
+        origin: None,
+    };
+    (index, run)
 }
 
 // ---------------------------------------------------------------------------------------
@@ -657,13 +818,13 @@ fn shard_payload(jobs: &[Job], cells: &[usize]) -> Vec<u8> {
 /// environment variables once at startup; each marker-file fault fires exactly once
 /// across a whole test run (respawned workers find the marker claimed and behave).
 struct Faults {
-    /// `ATHENA_DIST_FAULT_DIE`: SIGKILL this worker right after it sends its first
-    /// result of a shard (mid-shard death).
+    /// `ATHENA_DIST_FAULT_DIE`: SIGKILL this worker after it runs a cell and before it
+    /// answers, so the death always leaves a cell in flight (mid-batch death).
     die: Option<PathBuf>,
-    /// `ATHENA_DIST_FAULT_TRUNCATE`: write half of the first result frame, then exit.
+    /// `ATHENA_DIST_FAULT_TRUNCATE`: write half of a result frame, then exit.
     truncate: Option<PathBuf>,
-    /// `ATHENA_DIST_FAULT_CORRUPT`: flip one payload bit of the first result frame
-    /// *after* computing its checksum.
+    /// `ATHENA_DIST_FAULT_CORRUPT`: flip one payload bit of a result frame *after*
+    /// computing its checksum.
     corrupt: Option<PathBuf>,
     /// `ATHENA_DIST_FAULT_PANIC`: panic inside any cell whose label contains this
     /// substring (exercising per-cell panic isolation across the process boundary).
@@ -703,10 +864,48 @@ fn die_hard() -> ! {
     std::process::abort();
 }
 
+/// Decodes a `SHARD` payload into the coordinator's profiling switch and the indexed
+/// jobs to run.
+///
+/// # Panics
+///
+/// Panics on a payload that is not a shard document, lacks its `profile` switch, or
+/// holds a cell without an index or a decodable job.
+fn decode_shard(payload: &[u8]) -> (bool, Vec<(u64, Job)>) {
+    let doc =
+        Json::parse(std::str::from_utf8(payload).expect("worker: shard payload is not UTF-8"))
+            .unwrap_or_else(|e| panic!("worker: shard payload is not JSON: {e}"));
+    assert!(
+        DIST_SHARD_SCHEMA.matches(&doc),
+        "worker: shard does not declare schema '{}'",
+        DIST_SHARD_SCHEMA.id()
+    );
+    let profile = doc
+        .get("profile")
+        .and_then(Json::as_bool)
+        .expect("worker: shard has no 'profile' switch");
+    let cells = doc
+        .get("cells")
+        .and_then(Json::as_array)
+        .expect("worker: shard has no 'cells' array")
+        .iter()
+        .map(|cell| {
+            let index = cell
+                .get("index")
+                .and_then(u64_value)
+                .expect("worker: shard cell has no index");
+            let job = job_from_json(cell.get("job").expect("worker: shard cell has no job"))
+                .unwrap_or_else(|e| panic!("worker: cannot reconstruct cell {index}: {e}"));
+            (index, job)
+        })
+        .collect();
+    (profile, cells)
+}
+
 /// Runs the worker serve loop over this process's stdin/stdout until the coordinator
-/// closes the pipe: handshake, then one shard at a time — run every cell through the
+/// closes the pipe: handshake, then shard after shard — run every cell through the
 /// engine's per-cell bracket (panics caught per cell, exactly like the in-process
-/// executor), stream one `RESULT` frame per cell and a `DONE` frame per shard.
+/// executor) and answer each with one `RESULT` frame.
 ///
 /// The harness CLIs call this under their `--worker` flag; any binary that does the same
 /// can serve a [`DistPool`].
@@ -736,26 +935,9 @@ pub fn serve() {
             kind, KIND_SHARD,
             "worker: expected a SHARD frame, got {kind}"
         );
-        let doc =
-            Json::parse(std::str::from_utf8(&payload).expect("worker: shard payload is not UTF-8"))
-                .unwrap_or_else(|e| panic!("worker: shard payload is not JSON: {e}"));
-        assert!(
-            DIST_SHARD_SCHEMA.matches(&doc),
-            "worker: shard does not declare schema '{}'",
-            DIST_SHARD_SCHEMA.id()
-        );
-        athena_probe::set_profiling(doc.get("profile").and_then(Json::as_bool).unwrap_or(false));
-        let cells = doc
-            .get("cells")
-            .and_then(Json::as_array)
-            .expect("worker: shard has no 'cells' array");
-        for (nth, cell) in cells.iter().enumerate() {
-            let index = cell
-                .get("index")
-                .and_then(u64_value)
-                .expect("worker: shard cell has no index");
-            let job = job_from_json(cell.get("job").expect("worker: shard cell has no job"))
-                .unwrap_or_else(|e| panic!("worker: cannot reconstruct cell {index}: {e}"));
+        let (profile, cells) = decode_shard(&payload);
+        athena_probe::set_profiling(profile);
+        for (index, job) in cells {
             let faulty = faults
                 .panic_label
                 .as_deref()
@@ -766,41 +948,19 @@ pub fn serve() {
                 }
                 job.run()
             });
-            let mut fields = vec![
-                ("index", u64_json(index)),
-                ("wall_nanos", u64_json(run.wall.as_nanos() as u64)),
-            ];
-            if let Some(profile) = &run.profile {
-                fields.push(("profile", phase_profile_json(profile)));
+            if Faults::claim(&faults.die) {
+                die_hard();
             }
-            let record_doc;
-            match &run.outcome {
-                Ok(output) => {
-                    record_doc = Json::parse(
-                        std::str::from_utf8(&StoreHandle::encode(&job, output))
-                            .expect("record payloads are UTF-8"),
-                    )
-                    .expect("record payloads are JSON");
-                    fields.push(("record", record_doc));
-                }
-                Err(message) => fields.push(("error", Json::str(message))),
-            }
-            let result = DIST_RESULT_SCHEMA.document(fields).to_string().into_bytes();
-            if nth == 0 && Faults::claim(&faults.corrupt) {
+            let result = result_payload(index, &job, &run);
+            if Faults::claim(&faults.corrupt) {
                 send_corrupted(&mut output, &result);
-            } else if nth == 0 && Faults::claim(&faults.truncate) {
+            } else if Faults::claim(&faults.truncate) {
                 send_truncated(&mut output, &result);
             } else {
                 write_frame(&mut output, KIND_RESULT, &result)
                     .expect("worker: cannot write a result frame");
             }
-            if Faults::claim(&faults.die) {
-                die_hard();
-            }
         }
-        let done = DIST_DONE_SCHEMA.document(vec![("cells", u64_json(cells.len() as u64))]);
-        write_frame(&mut output, KIND_DONE, done.to_string().as_bytes())
-            .expect("worker: cannot write the DONE frame");
     }
 }
 
@@ -835,18 +995,55 @@ fn send_truncated(w: &mut impl Write, payload: &[u8]) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinds::{CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
+
+    fn tiny_job() -> Job {
+        Job::single(
+            "dist-unit",
+            athena_workloads::all_workloads().swap_remove(0),
+            SystemConfig::cd1(PrefetcherKind::Pythia, OcpKind::Popet),
+            CoordinatorKind::Baseline,
+            2_000,
+        )
+    }
+
+    /// Asserts that no prefix of `frame` and no single-bit flip of it reads back as a
+    /// `RESULT` frame.
+    fn assert_never_merged(frame: &[u8]) {
+        for cut in 1..frame.len() {
+            let err = read_frame(&mut io::Cursor::new(&frame[..cut])).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "prefix of {cut} bytes"
+            );
+        }
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // A flip may lengthen the frame past its end (EOF), break the checksum or the
+            // kind (invalid data), or turn the kind into another valid one — but it never
+            // yields a RESULT the coordinator would merge.
+            if let Ok(Some((kind, _))) = read_frame(&mut io::Cursor::new(flipped)) {
+                assert_ne!(
+                    kind, KIND_RESULT,
+                    "bit {bit} flipped into a mergeable RESULT"
+                );
+            }
+        }
+    }
 
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, KIND_SHARD, b"hello world").unwrap();
-        write_frame(&mut buf, KIND_DONE, b"").unwrap();
+        write_frame(&mut buf, KIND_HELLO, b"").unwrap();
         let mut r = io::Cursor::new(buf);
         assert_eq!(
             read_frame(&mut r).unwrap(),
             Some((KIND_SHARD, b"hello world".to_vec()))
         );
-        assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_DONE, Vec::new())));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((KIND_HELLO, Vec::new())));
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
@@ -868,8 +1065,9 @@ mod tests {
 
     #[test]
     fn garbage_kinds_and_absurd_lengths_are_invalid_data() {
-        // 5 was the retired per-cell event frame: a worker still sending it is garbage.
-        for kind in [0u8, 5, 99] {
+        // 4 was the retired end-of-shard frame and 5 the retired per-cell event frame: a
+        // worker still sending either is garbage.
+        for kind in [0u8, 4, 5, 99] {
             let err = read_frame(&mut io::Cursor::new(vec![kind, 0, 0, 0, 0])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "kind {kind}");
         }
@@ -882,37 +1080,78 @@ mod tests {
 
     #[test]
     fn no_cut_or_flipped_result_frame_is_ever_merged() {
-        let payload = DIST_RESULT_SCHEMA
-            .document(vec![
-                ("index", u64_json(3)),
-                ("wall_nanos", u64_json(1_234_567)),
-                ("error", Json::str("boom")),
-            ])
-            .to_string()
-            .into_bytes();
-        let mut frame = Vec::new();
-        write_frame(&mut frame, KIND_RESULT, &payload).unwrap();
-        for cut in 1..frame.len() {
-            let err = read_frame(&mut io::Cursor::new(&frame[..cut])).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::UnexpectedEof,
-                "prefix of {cut} bytes"
-            );
+        let job = tiny_job();
+        let failed = CellRun {
+            outcome: Err("boom".into()),
+            wall: Duration::from_nanos(1_234_567),
+            profile: None,
+            origin: None,
+        };
+        let finished = run_cell(&job, Job::run);
+        for run in [&failed, &finished] {
+            let payload = result_payload(3, &job, run);
+            let mut frame = Vec::new();
+            write_frame(&mut frame, KIND_RESULT, &payload).unwrap();
+            assert_never_merged(&frame);
         }
-        for bit in 0..frame.len() * 8 {
-            let mut flipped = frame.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            // A flip may lengthen the frame past its end (EOF), break the checksum or the
-            // kind (invalid data), or turn the kind into another valid one — but it never
-            // yields a RESULT the coordinator would merge.
-            if let Ok(Some((kind, _))) = read_frame(&mut io::Cursor::new(flipped)) {
-                assert_ne!(
-                    kind, KIND_RESULT,
-                    "bit {bit} flipped into a mergeable RESULT"
-                );
-            }
-        }
+    }
+
+    #[test]
+    fn a_result_frame_carries_the_record_verbatim_and_decodes_once() {
+        let jobs = [tiny_job(), tiny_job().with_derived_seed()];
+        let run = run_cell(&jobs[1], Job::run);
+        let output = run.outcome.clone().expect("the cell runs");
+        let payload = result_payload(1, &jobs[1], &run);
+        let record = StoreHandle::encode(&jobs[1], &output);
+        assert!(
+            payload.ends_with(&record),
+            "the store record rides unchanged after the header"
+        );
+        assert_eq!(decode_result(0, &payload, &jobs), (1, run.clone()));
+
+        let failed = CellRun {
+            outcome: Err("boom".into()),
+            ..run
+        };
+        let payload = result_payload(0, &jobs[0], &failed);
+        assert_eq!(decode_result(0, &payload, &jobs), (0, failed));
+    }
+
+    #[test]
+    #[should_panic(expected = "the job's key")]
+    fn a_record_answering_another_job_is_refused() {
+        let jobs = [tiny_job(), tiny_job().with_derived_seed()];
+        let run = run_cell(&jobs[0], Job::run);
+        // Cell 1's slot, cell 0's record: same identity, different variant.
+        decode_result(0, &result_payload(1, &jobs[0], &run), &jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no wall_nanos")]
+    fn a_result_without_its_wall_clock_is_corruption() {
+        let header = DIST_RESULT_SCHEMA
+            .document(vec![("index", u64_json(0)), ("error", Json::str("boom"))])
+            .to_string();
+        let mut payload = (header.len() as u32).to_le_bytes().to_vec();
+        payload.extend(header.as_bytes());
+        decode_result(0, &payload, &[tiny_job()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no 'profile' switch")]
+    fn a_shard_without_the_profiling_switch_is_corruption() {
+        let doc = DIST_SHARD_SCHEMA.document(vec![("cells", Json::arr(Vec::new()))]);
+        decode_shard(doc.to_string().as_bytes());
+    }
+
+    #[test]
+    fn shards_round_trip_with_the_profiling_switch() {
+        let jobs = [tiny_job(), tiny_job().with_derived_seed()];
+        let (profile, cells) = decode_shard(&shard_payload(1, &jobs[1]));
+        assert_eq!(profile, athena_probe::profiling_enabled());
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].0, 1);
+        assert_eq!(record_key(&cells[0].1), record_key(&jobs[1]));
     }
 
     #[test]

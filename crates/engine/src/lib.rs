@@ -24,9 +24,9 @@
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume
 //!   paying only for missing cells ([`Engine::with_store`]).
 //! * **Distribution** — an optional coordinator/worker executor ([`DistPool`], module
-//!   [`dist`]) shards a batch across spawned worker processes over a length-delimited
-//!   checksummed stdio protocol (jobs serialised by [`wire`]), with bounded
-//!   retry/reassignment on worker death and a loud failure on corruption; merge order
+//!   [`dist`]) feeds a batch's cells to run-lifetime worker processes over a
+//!   length-delimited checksummed stdio protocol (jobs serialised by [`wire`]), with
+//!   bounded retry/reassignment on worker death and a loud failure on corruption; merge order
 //!   and the result store stay on the coordinator, so tables remain byte-identical at
 //!   any worker count ([`Engine::with_dist`]).
 //!

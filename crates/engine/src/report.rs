@@ -54,16 +54,16 @@ pub const RESULT_RECORD_SCHEMA: Schema = Schema::new("result-record", 1);
 pub const EVENTS_SCHEMA: Schema = Schema::new("events", 1);
 /// Schema of the `BENCH_sim.json` snapshot (the `figures --profile` per-phase aggregate).
 pub const SIM_BENCH_SCHEMA: Schema = Schema::new("sim-bench", 1);
-/// Schema of a distributed worker's handshake frame (`crate::dist`). Version 2 is the
-/// protocol without the per-cell event frame: workers ship results only.
-pub const DIST_HELLO_SCHEMA: Schema = Schema::new("dist-hello", 2);
-/// Schema of a coordinator→worker shard frame: the indexed job list one worker runs.
+/// Schema of a distributed worker's handshake frame (`crate::dist`). Version 3 is the
+/// run-lifetime protocol: workers serve shard after shard until their stdin closes, send
+/// no end-of-shard frame, and carry each store record verbatim in their results.
+pub const DIST_HELLO_SCHEMA: Schema = Schema::new("dist-hello", 3);
+/// Schema of a coordinator→worker shard frame: the indexed jobs a worker runs next.
 pub const DIST_SHARD_SCHEMA: Schema = Schema::new("dist-shard", 1);
-/// Schema of a worker→coordinator per-cell result frame: wall-clock, phase profile, and
-/// the [`RESULT_RECORD_SCHEMA`] envelope of a successful cell or a panicked cell's error.
-pub const DIST_RESULT_SCHEMA: Schema = Schema::new("dist-result", 1);
-/// Schema of a worker's end-of-shard frame.
-pub const DIST_DONE_SCHEMA: Schema = Schema::new("dist-done", 1);
+/// Schema of the header of a worker→coordinator per-cell result frame: cell index,
+/// wall-clock, phase profile and a panicked cell's error. The cell's
+/// [`RESULT_RECORD_SCHEMA`] record follows the header as raw bytes.
+pub const DIST_RESULT_SCHEMA: Schema = Schema::new("dist-result", 2);
 /// Schema of a metrics-registry snapshot ([`metrics_snapshot_json`]), embedded as the
 /// `metrics` object of run reports and readable standalone by `results metrics`.
 pub const METRICS_SCHEMA: Schema = Schema::new("metrics", 1);

@@ -44,15 +44,16 @@ run options:
   --jobs <N>          engine worker count (default: every hardware thread); --jobs 1 is
                       the exact serial path; tables are byte-identical at any value
   --workers <N>       distribute simulation across N spawned worker processes (each one
-                      is this binary re-invoked as `figures --worker`): the coordinator
-                      shards every engine batch over length-delimited checksummed
-                      frames, retries cells whose worker dies, and merges results in
+                      is this binary re-invoked as `figures --worker`, spawned once per
+                      run): the coordinator feeds every engine batch's cells to them
+                      on demand over length-delimited checksummed frames, retries
+                      cells whose worker dies, and merges results in
                       submission order, so tables are byte-identical at any worker
                       count and under worker failure. The store, event log and merge
                       stay on the coordinator; workers send each cell's wall-clock and
                       phase profile back with its result, so --events and --profile
                       compose with --workers. Incompatible with --bench-report
-  --worker            internal: run as a worker process serving shards on stdin/stdout;
+  --worker            internal: run as a worker process serving cells on stdin/stdout;
                       spawned by a `--workers` coordinator, never useful by hand
   --trace-dir <DIR>   replay recorded traces from DIR (written by `trace record`):
                       single-core cells with a <workload>.trace file there replay it,
@@ -206,7 +207,7 @@ run options:
                        `figures --help` for the protocol); the leaderboard is
                        byte-identical at any worker count. Incompatible with
                        --bench-report
-  --worker             internal: run as a worker process serving shards on
+  --worker             internal: run as a worker process serving cells on
                        stdin/stdout; spawned by a `--workers` coordinator
   --trace-dir <DIR>    replay recorded traces from DIR (record them with
                        `trace record --tuning`); identical leaderboard bytes to the

@@ -59,8 +59,8 @@ pub const TOPOLOGY_EVENT_KINDS: &[&str] = &[
 /// ran remotely; `None` means the cell ran in-process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellOrigin {
-    /// Coordinator-assigned worker id (stable across the batch; respawned workers get
-    /// fresh ids).
+    /// Coordinator-assigned worker id (stable for the pool's lifetime; respawned
+    /// workers get fresh ids).
     pub worker: usize,
     /// The worker's OS process id (host-dependent, stripped by determinism comparisons).
     pub pid: u64,
@@ -155,8 +155,8 @@ pub enum Event {
     },
     /// A distributed worker process was spawned by the coordinator.
     WorkerJoined {
-        /// Coordinator-assigned worker id (stable across the batch; respawned workers
-        /// get fresh ids).
+        /// Coordinator-assigned worker id (stable for the pool's lifetime; respawned
+        /// workers get fresh ids).
         worker: usize,
         /// The worker's OS process id (a wall-clock-like value: real but not
         /// deterministic — comparisons should treat it like a timestamp).
@@ -171,7 +171,7 @@ pub enum Event {
         /// Payload size of the shard frame in bytes (header excluded).
         bytes: usize,
     },
-    /// A distributed worker died (EOF or truncated frame) with cells unanswered.
+    /// A distributed worker died (EOF or truncated frame), in a batch or while idle.
     WorkerDied {
         /// The dead worker's id.
         worker: usize,

@@ -174,7 +174,7 @@ pub struct MetricsRegistry {
     pub cells_simulated: Counter,
     /// Cells served from the result store without simulation.
     pub cells_cached: Counter,
-    /// Cells re-dispatched after a distributed worker died mid-shard.
+    /// Cells re-dispatched after a distributed worker died with them in flight.
     pub cell_retries: Counter,
     /// Wire frames written by this process (coordinator side: commands out).
     pub frames_sent: Counter,

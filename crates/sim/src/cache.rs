@@ -15,6 +15,15 @@
 //! RRIP aging, every counter's update order — are identical to the former array-of-structs
 //! layout, which is what keeps end-of-run statistics byte-identical (pinned by
 //! `tests/sim_oracle.rs`).
+//!
+//! The six per-line arrays come from a thread-local recycle bin (`LineTables::take`)
+//! and go back to it when the cache drops. A last-level cache's arrays are hundreds of
+//! KiB each, so a fresh allocation is served by `mmap` and every first touch of it
+//! page-faults; a process that runs one short cell after another (a distributed worker)
+//! would pay those faults again on every cell. Recycled arrays are refilled to their
+//! initial values, so a cache built from them is indistinguishable from a fresh one.
+
+use std::cell::RefCell;
 
 use crate::trace::LINE_SIZE;
 
@@ -174,6 +183,14 @@ impl Cache {
         let ways = config.ways;
         let lines = set_count * ways;
         let pow2 = set_count.is_power_of_two();
+        let LineTables {
+            tags,
+            flags,
+            lru,
+            rrpv,
+            signature,
+            ready,
+        } = LineTables::take(lines);
         Self {
             config,
             level,
@@ -182,12 +199,12 @@ impl Cache {
             set_mask: set_count as u64 - 1,
             set_shift: set_count.trailing_zeros(),
             pow2,
-            tags: vec![INVALID_TAG; lines],
-            flags: vec![0; lines],
-            lru: vec![0; lines],
-            rrpv: vec![RRPV_MAX; lines],
-            signature: vec![0; lines],
-            ready: vec![0; lines],
+            tags,
+            flags,
+            lru,
+            rrpv,
+            signature,
+            ready,
             lru_clock: 0,
             ship_table: vec![1; SHIP_TABLE_SIZE],
             accesses: 0,
@@ -457,6 +474,101 @@ impl Cache {
     }
 }
 
+impl Drop for Cache {
+    fn drop(&mut self) {
+        LineTables {
+            tags: std::mem::take(&mut self.tags),
+            flags: std::mem::take(&mut self.flags),
+            lru: std::mem::take(&mut self.lru),
+            rrpv: std::mem::take(&mut self.rrpv),
+            signature: std::mem::take(&mut self.signature),
+            ready: std::mem::take(&mut self.ready),
+        }
+        .recycle();
+    }
+}
+
+/// The six per-line arrays of one cache, all of the same length.
+struct LineTables {
+    tags: Vec<u64>,
+    flags: Vec<u8>,
+    lru: Vec<u64>,
+    rrpv: Vec<u8>,
+    signature: Vec<u16>,
+    ready: Vec<u64>,
+}
+
+impl LineTables {
+    fn lines(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Tables for `lines` lines in their initial state: a set of that length from this
+    /// thread's recycle bin, refilled, or a fresh allocation when the bin has none.
+    fn take(lines: usize) -> Self {
+        let recycled = RECYCLE_BIN
+            .try_with(|bin| bin.borrow_mut().take(lines))
+            .ok()
+            .flatten();
+        let Some(mut t) = recycled else {
+            return Self {
+                tags: vec![INVALID_TAG; lines],
+                flags: vec![0; lines],
+                lru: vec![0; lines],
+                rrpv: vec![RRPV_MAX; lines],
+                signature: vec![0; lines],
+                ready: vec![0; lines],
+            };
+        };
+        t.tags.fill(INVALID_TAG);
+        t.flags.fill(0);
+        t.lru.fill(0);
+        t.rrpv.fill(RRPV_MAX);
+        t.signature.fill(0);
+        t.ready.fill(0);
+        t
+    }
+
+    /// Hands the tables to this thread's recycle bin (or frees them while the thread
+    /// is being torn down).
+    fn recycle(self) {
+        let _ = RECYCLE_BIN.try_with(|bin| bin.borrow_mut().put(self));
+    }
+}
+
+/// The line tables of the caches that dropped since the last [`LineTables::take`]: the
+/// caches of the cell that just ended. The first drop after a take empties the bin, so
+/// it never holds more than one cell's tables, and tables of a geometry that stopped
+/// being built are freed after one cell.
+struct RecycleBin {
+    tables: Vec<LineTables>,
+    taken_since_put: bool,
+}
+
+impl RecycleBin {
+    fn take(&mut self, lines: usize) -> Option<LineTables> {
+        self.taken_since_put = true;
+        let i = self.tables.iter().position(|t| t.lines() == lines)?;
+        Some(self.tables.swap_remove(i))
+    }
+
+    fn put(&mut self, tables: LineTables) {
+        if std::mem::take(&mut self.taken_since_put) {
+            self.tables.clear();
+        }
+        self.tables.push(tables);
+    }
+}
+
+thread_local! {
+    static RECYCLE_BIN: RefCell<RecycleBin> = const {
+        RefCell::new(RecycleBin {
+            tables: Vec::new(),
+            taken_since_put: false,
+        })
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,6 +706,93 @@ mod tests {
             } => assert!(!first_use_of_prefetch),
             _ => panic!("expected hit"),
         }
+    }
+
+    /// Drives `c` through fills (demand and prefetch), stores, hits, misses and
+    /// evictions, returning every observable outcome.
+    fn exercise(c: &mut Cache) -> Vec<String> {
+        let mut seen = Vec::new();
+        for i in 0..48u64 {
+            let addr = (i * 7 % 19) * LINE_SIZE;
+            seen.push(format!("{:?}", c.lookup(addr, 0x400 + i % 5)));
+            seen.push(format!(
+                "{:?}",
+                c.fill(addr, i % 3 == 0, 0x400 + i % 5, 100 + i)
+            ));
+            c.mark_dirty(addr);
+        }
+        seen.push(format!("{c:?}"));
+        seen
+    }
+
+    fn bin_lengths() -> Vec<usize> {
+        RECYCLE_BIN.with(|bin| bin.borrow().tables.iter().map(LineTables::lines).collect())
+    }
+
+    fn table_lengths(c: &Cache) -> [usize; 6] {
+        [
+            c.tags.len(),
+            c.flags.len(),
+            c.lru.len(),
+            c.rrpv.len(),
+            c.signature.len(),
+            c.ready.len(),
+        ]
+    }
+
+    fn two_way(sets: u64) -> Cache {
+        Cache::new(
+            CacheConfig {
+                name: "two-way",
+                size_bytes: sets * 2 * LINE_SIZE,
+                ways: 2,
+                latency: 1,
+                mshrs: 2,
+                replacement: Replacement::Lru,
+            },
+            CacheLevel::L2c,
+        )
+    }
+
+    #[test]
+    fn a_cache_on_recycled_tables_behaves_like_a_fresh_one() {
+        for replacement in [Replacement::Lru, Replacement::Ship] {
+            let mut used = tiny_cache(replacement);
+            exercise(&mut used);
+            let tags = used.tags.as_ptr();
+            drop(used);
+            let mut recycled = tiny_cache(replacement);
+            assert_eq!(
+                recycled.tags.as_ptr(),
+                tags,
+                "the dropped cache's tables are reused"
+            );
+            // The bin is empty again, so this one is freshly allocated.
+            let mut fresh = tiny_cache(replacement);
+            assert_ne!(fresh.tags.as_ptr(), tags);
+            assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
+            assert_eq!(exercise(&mut recycled), exercise(&mut fresh));
+        }
+    }
+
+    #[test]
+    fn recycled_tables_never_change_a_caches_geometry() {
+        drop(tiny_cache(Replacement::Lru)); // 2 sets x 4 ways
+        let odd = two_way(3);
+        assert_eq!(table_lengths(&odd), [6; 6]);
+        drop(odd);
+        // The 8-line tables were freed when the 6-line cache (a later cell) dropped.
+        assert_eq!(bin_lengths(), vec![6]);
+        let tiny = tiny_cache(Replacement::Lru);
+        assert_eq!(table_lengths(&tiny), [8; 6]);
+        let odd = two_way(3);
+        assert_eq!(table_lengths(&odd), [6; 6], "reused at its own length");
+        drop((tiny, odd));
+        assert_eq!(
+            bin_lengths().len(),
+            2,
+            "one cell's two caches, nothing older"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 # Distributed-execution smoke driver: runs the quick figure suite four ways —
 # in-process, on 2 worker processes, on 2 workers under full observation
 # (--events --profile, with `results trace` / `results metrics` exercised on the
-# artifacts), and on 2 workers with one SIGKILLed mid-shard — and requires every
+# artifacts), and on 2 workers with one SIGKILLed mid-batch — and requires every
 # table to come out byte-identical, with the faulted run still exiting 0. CI calls
 # this; it also works locally from the repo root.
 #
@@ -64,7 +64,7 @@ print(f"trace.json: {len(events)} events, processes {sorted(pids)}")
 PY
 
 # Same run again, but the marker file arms an injected SIGKILL that exactly one worker
-# fires on itself mid-shard: the coordinator must notice, reassign the dead worker's
+# fires on itself mid-batch: the coordinator must notice, reassign the dead worker's
 # unfinished cells to a fresh process, exit 0, and produce the same bytes anyway.
 (
   export ATHENA_DIST_FAULT_DIE="$scratch/die.marker"
