@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use athena_core::{BloomFilter, QvStore};
 use athena_harness::{simulate, CoordinatorKind, OcpKind, PrefetcherKind, SystemConfig};
 use athena_sim::{Cache, CacheConfig, CacheLevel, Dram, DramRequestKind, Replacement, SimConfig};
-use athena_workloads::all_workloads;
+use athena_workloads::{all_workloads, Pattern};
 
 fn cache_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
@@ -107,6 +107,23 @@ fn hierarchy_bench(c: &mut Criterion) {
             )
         })
     });
+    // A resident working set of 192 lines over 48 pages, visited in a scrambled order,
+    // with no prefetcher or OCP: every load hits L1D and finds its page somewhere in the
+    // 64-page recent window, so this is the fixed per-load cost — the recent-page test,
+    // the L1D tag sweep and the hit's replacement update.
+    group.bench_function("demand_load_l1_hit", |b| {
+        let mut hierarchy = MemoryHierarchy::new(SimConfig::golden_cove_like());
+        let mut cycle = 0u64;
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            cycle += 4;
+            let page = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) % 48;
+            // 64 lines per page and 64 L1D sets: spread each page's lines over sets.
+            let addr = page * 4096 + (page + (i & 3)) % 64 * 64;
+            std::hint::black_box(hierarchy.demand_load(0x400, addr, cycle).completion_cycle)
+        })
+    });
     group.finish();
 }
 
@@ -188,6 +205,27 @@ fn trace_bench(c: &mut Criterion) {
     group.finish();
 }
 
+fn workloads_bench(c: &mut Criterion) {
+    let mut group = c.benchmark_group("workloads");
+    group.throughput(Throughput::Elements(1));
+    let specs = all_workloads();
+    let first = |is: fn(&Pattern) -> bool| specs.iter().find(|w| is(&w.pattern)).unwrap();
+    let stream = first(|p| matches!(p, Pattern::Stream { .. }));
+    let chase = first(|p| matches!(p, Pattern::PointerChase { .. }));
+    // One record per iteration from a long-lived generator: refills amortised as in a
+    // cell, so this is the generator's per-instruction cost.
+    for (label, spec) in [
+        ("trace_gen_stream", stream),
+        ("trace_gen_pointer_chase", chase),
+    ] {
+        group.bench_function(label, |b| {
+            let mut trace = spec.trace();
+            b.iter(|| std::hint::black_box(trace.next()))
+        });
+    }
+    group.finish();
+}
+
 fn simulation_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation");
     group.sample_size(10);
@@ -265,6 +303,7 @@ criterion_group!(
     qvstore_bench,
     bloom_bench,
     trace_bench,
+    workloads_bench,
     simulation_bench,
     engine_bench
 );

@@ -42,10 +42,14 @@ macro_rules! impl_sample_uniform_int {
         impl SampleUniform for $t {
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
                 assert!(low < high, "gen_range: empty range");
-                let span = (high as u128).wrapping_sub(low as u128);
+                // The span of any integer type of at most 64 bits fits in a u64 (at most
+                // 2^64 - 1), and the sign-extending casts make the wrapping difference
+                // exact for signed types too.
+                let span = (high as u64).wrapping_sub(low as u64);
                 // Modulo reduction: the bias for spans far below 2^64 is negligible for
-                // synthetic trace generation and keeps the shim branch-free.
-                let draw = (rng.next_u64() as u128) % span;
+                // synthetic trace generation, and one native u64 division is cheaper
+                // than rejection sampling or a 128-bit remainder.
+                let draw = rng.next_u64() % span;
                 low.wrapping_add(draw as $t)
             }
         }
@@ -174,7 +178,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn streams_are_deterministic_in_the_seed() {
@@ -199,6 +203,45 @@ mod tests {
             let u = rng.gen_range(0usize..5);
             assert!(u < 5);
         }
+    }
+
+    /// The reduction as first written, through a `u128` remainder.
+    macro_rules! u128_reduction {
+        ($t:ty, $draw:expr, $low:expr, $high:expr) => {{
+            let span = ($high as u128).wrapping_sub($low as u128);
+            $low.wrapping_add((($draw as u128) % span) as $t)
+        }};
+    }
+
+    #[test]
+    fn u64_reduction_matches_the_u128_reduction_for_every_integer_type() {
+        macro_rules! check {
+            ($($t:ty),*) => {$({
+                let mut bounds = StdRng::seed_from_u64(5);
+                let mut spans = vec![(<$t>::MIN, <$t>::MAX), (0, 1), (<$t>::MAX - 1, <$t>::MAX)];
+                for _ in 0..2_000 {
+                    let (a, b): ($t, $t) = (bounds.gen::<u64>() as $t, bounds.gen::<u64>() as $t);
+                    if a != b {
+                        spans.push((a.min(b), a.max(b)));
+                    }
+                }
+                spans.push((<$t>::MIN, <$t>::MIN + 1));
+                for (i, (low, high)) in spans.into_iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(i as u64);
+                    let mut twin = rng.clone();
+                    for _ in 0..16 {
+                        let draw = twin.next_u64();
+                        assert_eq!(
+                            rng.gen_range(low..high),
+                            u128_reduction!($t, draw, low, high),
+                            "{}: {low}..{high}",
+                            stringify!($t)
+                        );
+                    }
+                }
+            })*};
+        }
+        check!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
     }
 
     #[test]

@@ -275,6 +275,19 @@ mod tests {
     }
 
     #[test]
+    fn every_strict_prefix_of_a_record_fails_to_decode() {
+        let job = one_job();
+        let payload = StoreHandle::encode(&job, &job.run());
+        for end in 0..payload.len() {
+            assert!(
+                StoreHandle::decode(&payload[..end]).is_err(),
+                "the {end}-byte prefix of a {}-byte record decoded",
+                payload.len()
+            );
+        }
+    }
+
+    #[test]
     fn handle_round_trips_through_a_store_directory() {
         let dir =
             std::env::temp_dir().join(format!("athena-engine-store-{}-handle", std::process::id()));

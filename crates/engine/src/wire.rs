@@ -885,6 +885,38 @@ mod tests {
     }
 
     #[test]
+    fn no_strict_prefix_of_a_job_document_becomes_a_job() {
+        let jobs = [
+            Job::single(
+                "dse",
+                all_workloads()[2].clone(),
+                cd_variants()[3].clone(),
+                CoordinatorKind::AthenaWith(exotic_config()),
+                15_000,
+            )
+            .with_telemetry(4096),
+            Job::multicore(
+                "fig13",
+                mixes(2, 1, 7)[0].clone(),
+                cd_variants()[1].clone(),
+                CoordinatorKind::Hpac,
+                10_000,
+            ),
+        ];
+        for job in jobs {
+            let text = job_json(&job).to_string();
+            for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+                let decoded = Json::parse(&text[..end]).map(|doc| job_from_json(&doc));
+                assert!(
+                    !matches!(decoded, Ok(Ok(_))),
+                    "{}: the {end}-byte prefix decoded",
+                    job.label()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_tampered_job_fails_the_identity_tripwire() {
         let job = Job::single(
             "fig7",

@@ -10,18 +10,21 @@
 //! tag array until it has a hit, the tag scan over a set is a branch-free equality sweep
 //! over adjacent words, and the replacement / prefetch metadata arrays stay out of the
 //! cache lines the tag scan pulls in. Invalid slots hold a sentinel tag that no real
-//! address can produce, so the sweep needs no per-way validity test. The observable
-//! semantics — scan order, first-match priority, LRU tie-breaking on the first minimum,
-//! RRIP aging, every counter's update order — are identical to the former array-of-structs
-//! layout, which is what keeps end-of-run statistics byte-identical (pinned by
-//! `tests/sim_oracle.rs`).
+//! address can produce, so the sweep needs no per-way validity test. Replacement state is
+//! per policy: an LRU cache keeps only last-touch stamps, a SHiP cache only RRPVs,
+//! signatures and its signature table, so neither pays for state the other reads. The
+//! observable semantics — scan order, first-match priority, LRU tie-breaking on the first
+//! minimum, RRIP aging, every counter's update order — are identical to the former
+//! array-of-structs layout, which is what keeps end-of-run statistics byte-identical
+//! (pinned by `tests/sim_oracle.rs`).
 //!
-//! The six per-line arrays come from a thread-local recycle bin (`LineTables::take`)
-//! and go back to it when the cache drops. A last-level cache's arrays are hundreds of
-//! KiB each, so a fresh allocation is served by `mmap` and every first touch of it
-//! page-faults; a process that runs one short cell after another (a distributed worker)
-//! would pay those faults again on every cell. Recycled arrays are refilled to their
-//! initial values, so a cache built from them is indistinguishable from a fresh one.
+//! The per-line arrays come from a thread-local recycle bin (`LineTables::take`), keyed
+//! by line count and policy, and go back to it when the cache drops. A last-level
+//! cache's arrays are hundreds of KiB each, so a fresh allocation is served by `mmap` and
+//! every first touch of it page-faults; a process that runs one short cell after another
+//! (a distributed worker) would pay those faults again on every cell. Recycled arrays are
+//! refilled to their initial values, so a cache built from them is indistinguishable from
+//! a fresh one.
 
 use std::cell::RefCell;
 
@@ -159,13 +162,8 @@ pub struct Cache {
     // --- structure-of-arrays line state, indexed by set * ways + way ---
     tags: Vec<u64>,
     flags: Vec<u8>,
-    lru: Vec<u64>,
-    rrpv: Vec<u8>,
-    signature: Vec<u16>,
     ready: Vec<u64>,
-    lru_clock: u64,
-    /// SHiP signature outcome counters (2-bit saturating).
-    ship_table: Vec<u8>,
+    policy: PolicyState,
     // Statistics.
     accesses: u64,
     hits: u64,
@@ -186,11 +184,9 @@ impl Cache {
         let LineTables {
             tags,
             flags,
-            lru,
-            rrpv,
-            signature,
             ready,
-        } = LineTables::take(lines);
+            policy,
+        } = LineTables::take(lines, config.replacement);
         Self {
             config,
             level,
@@ -201,12 +197,8 @@ impl Cache {
             pow2,
             tags,
             flags,
-            lru,
-            rrpv,
-            signature,
             ready,
-            lru_clock: 0,
-            ship_table: vec![1; SHIP_TABLE_SIZE],
+            policy,
             accesses: 0,
             hits: 0,
             misses: 0,
@@ -263,7 +255,6 @@ impl Cache {
     /// metadata. Returns whether the access hit.
     pub fn lookup(&mut self, addr: u64, pc: u64) -> LookupOutcome {
         self.accesses += 1;
-        self.lru_clock += 1;
         let line_addr = addr & !(LINE_SIZE - 1);
         let (set, tag) = self.index_of(line_addr);
         if let Some(way) = self.find_way(set, tag) {
@@ -275,11 +266,15 @@ impl Cache {
                 self.useful_prefetches += 1;
             }
             self.flags[i] = (f | F_USED) & !F_PREFETCH;
-            self.lru[i] = self.lru_clock;
-            self.rrpv[i] = 0;
-            // SHiP: the signature that filled this line produced a re-reference.
-            let sig = self.signature[i] as usize % SHIP_TABLE_SIZE;
-            self.ship_table[sig] = (self.ship_table[sig] + 1).min(3);
+            match &mut self.policy {
+                PolicyState::Lru(lru) => lru.touch(i),
+                PolicyState::Ship(ship) => {
+                    ship.rrpv[i] = 0;
+                    // SHiP: the signature that filled this line produced a re-reference.
+                    let sig = usize::from(ship.signature[i]);
+                    ship.outcomes[sig] = (ship.outcomes[sig] + 1).min(3);
+                }
+            }
             let _ = pc;
             return LookupOutcome::Hit {
                 first_use_of_prefetch: first_use,
@@ -322,8 +317,6 @@ impl Cache {
     ) -> Option<EvictedLine> {
         let line_addr = addr & !(LINE_SIZE - 1);
         let (set, tag) = self.index_of(line_addr);
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
 
         if is_prefetch {
             self.prefetch_fills += 1;
@@ -334,8 +327,10 @@ impl Cache {
         // If already present just refresh metadata (e.g. a demand fill racing a prefetch).
         if let Some(way) = self.find_way(set, tag) {
             let i = set * self.ways + way;
-            self.lru[i] = clock;
-            self.rrpv[i] = if is_prefetch { 2 } else { 0 };
+            match &mut self.policy {
+                PolicyState::Lru(lru) => lru.touch(i),
+                PolicyState::Ship(ship) => ship.rrpv[i] = if is_prefetch { 2 } else { 0 },
+            }
             self.ready[i] = self.ready[i].min(ready_cycle);
             if !is_prefetch {
                 self.flags[i] = (self.flags[i] | F_USED) & !F_PREFETCH;
@@ -358,28 +353,32 @@ impl Cache {
             None
         };
 
-        if let Some(ev) = &victim {
-            if ev.was_prefetch && !ev.was_used {
-                self.evicted_unused_prefetches += 1;
-                // SHiP: the filling signature produced no re-reference.
-                let sig = self.signature[i] as usize % SHIP_TABLE_SIZE;
-                self.ship_table[sig] = self.ship_table[sig].saturating_sub(1);
-            }
+        let evicted_unused = victim.is_some_and(|ev| ev.was_prefetch && !ev.was_used);
+        if evicted_unused {
+            self.evicted_unused_prefetches += 1;
         }
 
-        let signature = Self::ship_index(pc) as u16;
-        let predicted_dead = self.config.replacement == Replacement::Ship
-            && self.ship_table[signature as usize % SHIP_TABLE_SIZE] == 0;
         self.tags[i] = tag;
         self.flags[i] = F_VALID | if is_prefetch { F_PREFETCH } else { F_USED };
-        self.lru[i] = clock;
-        self.rrpv[i] = if predicted_dead || is_prefetch {
-            RRPV_MAX - 1
-        } else {
-            1
-        };
-        self.signature[i] = signature;
         self.ready[i] = ready_cycle;
+        match &mut self.policy {
+            PolicyState::Lru(lru) => lru.touch(i),
+            PolicyState::Ship(ship) => {
+                if evicted_unused {
+                    // SHiP: the victim's filling signature produced no re-reference.
+                    let old = usize::from(ship.signature[i]);
+                    ship.outcomes[old] = ship.outcomes[old].saturating_sub(1);
+                }
+                let sig = Self::ship_index(pc);
+                let predicted_dead = ship.outcomes[sig] == 0;
+                ship.rrpv[i] = if predicted_dead || is_prefetch {
+                    RRPV_MAX - 1
+                } else {
+                    1
+                };
+                ship.signature[i] = sig as u16;
+            }
+        }
         victim
     }
 
@@ -392,14 +391,14 @@ impl Cache {
         {
             return idx;
         }
-        match self.config.replacement {
-            Replacement::Lru => {
+        match &mut self.policy {
+            PolicyState::Lru(lru) => {
                 // First minimum wins, matching `Iterator::min_by_key` on the former
                 // per-line struct scan.
                 let mut best = 0usize;
-                let mut best_lru = self.lru[base];
+                let mut best_lru = lru.stamps[base];
                 for way in 1..self.ways {
-                    let stamp = self.lru[base + way];
+                    let stamp = lru.stamps[base + way];
                     if stamp < best_lru {
                         best = way;
                         best_lru = stamp;
@@ -407,16 +406,14 @@ impl Cache {
                 }
                 best
             }
-            Replacement::Ship => {
+            PolicyState::Ship(ship) => {
                 // RRIP victim selection: evict a line with RRPV_MAX, aging until one exists.
+                let set_rrpv = &mut ship.rrpv[base..base + self.ways];
                 loop {
-                    if let Some(idx) = self.rrpv[base..base + self.ways]
-                        .iter()
-                        .position(|&r| r >= RRPV_MAX)
-                    {
+                    if let Some(idx) = set_rrpv.iter().position(|&r| r >= RRPV_MAX) {
                         return idx;
                     }
-                    for r in &mut self.rrpv[base..base + self.ways] {
+                    for r in set_rrpv.iter_mut() {
                         *r = (*r + 1).min(RRPV_MAX);
                     }
                 }
@@ -479,23 +476,90 @@ impl Drop for Cache {
         LineTables {
             tags: std::mem::take(&mut self.tags),
             flags: std::mem::take(&mut self.flags),
-            lru: std::mem::take(&mut self.lru),
-            rrpv: std::mem::take(&mut self.rrpv),
-            signature: std::mem::take(&mut self.signature),
             ready: std::mem::take(&mut self.ready),
+            policy: std::mem::replace(&mut self.policy, PolicyState::new(0, Replacement::Lru)),
         }
         .recycle();
     }
 }
 
-/// The six per-line arrays of one cache, all of the same length.
+/// Per-line replacement state. A cache holds only its own policy's: an LRU cache never
+/// allocates or touches SHiP's arrays, and a SHiP cache keeps no LRU stamps.
+#[derive(Debug, Clone)]
+enum PolicyState {
+    Lru(LruState),
+    Ship(ShipState),
+}
+
+/// Each line's last-touch stamp, from a clock that ticks once per stamp: stamps are
+/// unique and order lines by last touch, which is all victim selection reads.
+#[derive(Debug, Clone)]
+struct LruState {
+    stamps: Vec<u64>,
+    clock: u64,
+}
+
+/// Each line's re-reference prediction value and filling signature, and the signature
+/// outcome counters (2-bit saturating).
+#[derive(Debug, Clone)]
+struct ShipState {
+    rrpv: Vec<u8>,
+    signature: Vec<u16>,
+    outcomes: Vec<u8>,
+}
+
+impl LruState {
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.clock += 1;
+        self.stamps[i] = self.clock;
+    }
+}
+
+impl PolicyState {
+    fn new(lines: usize, replacement: Replacement) -> Self {
+        match replacement {
+            Replacement::Lru => PolicyState::Lru(LruState {
+                stamps: vec![0; lines],
+                clock: 0,
+            }),
+            Replacement::Ship => PolicyState::Ship(ShipState {
+                rrpv: vec![RRPV_MAX; lines],
+                signature: vec![0; lines],
+                outcomes: vec![1; SHIP_TABLE_SIZE],
+            }),
+        }
+    }
+
+    /// Restores the state [`PolicyState::new`] builds, keeping the allocations.
+    fn reset(&mut self) {
+        match self {
+            PolicyState::Lru(lru) => {
+                lru.stamps.fill(0);
+                lru.clock = 0;
+            }
+            PolicyState::Ship(ship) => {
+                ship.rrpv.fill(RRPV_MAX);
+                ship.signature.fill(0);
+                ship.outcomes.fill(1);
+            }
+        }
+    }
+
+    fn replacement(&self) -> Replacement {
+        match self {
+            PolicyState::Lru(_) => Replacement::Lru,
+            PolicyState::Ship(_) => Replacement::Ship,
+        }
+    }
+}
+
+/// The per-line arrays of one cache, all `lines` long, and its policy state.
 struct LineTables {
     tags: Vec<u64>,
     flags: Vec<u8>,
-    lru: Vec<u64>,
-    rrpv: Vec<u8>,
-    signature: Vec<u16>,
     ready: Vec<u64>,
+    policy: PolicyState,
 }
 
 impl LineTables {
@@ -503,29 +567,26 @@ impl LineTables {
         self.tags.len()
     }
 
-    /// Tables for `lines` lines in their initial state: a set of that length from this
-    /// thread's recycle bin, refilled, or a fresh allocation when the bin has none.
-    fn take(lines: usize) -> Self {
+    /// Tables for `lines` lines of a `replacement` cache in their initial state: a set of
+    /// that length and policy from this thread's recycle bin, refilled, or a fresh
+    /// allocation when the bin has none.
+    fn take(lines: usize, replacement: Replacement) -> Self {
         let recycled = RECYCLE_BIN
-            .try_with(|bin| bin.borrow_mut().take(lines))
+            .try_with(|bin| bin.borrow_mut().take(lines, replacement))
             .ok()
             .flatten();
         let Some(mut t) = recycled else {
             return Self {
                 tags: vec![INVALID_TAG; lines],
                 flags: vec![0; lines],
-                lru: vec![0; lines],
-                rrpv: vec![RRPV_MAX; lines],
-                signature: vec![0; lines],
                 ready: vec![0; lines],
+                policy: PolicyState::new(lines, replacement),
             };
         };
         t.tags.fill(INVALID_TAG);
         t.flags.fill(0);
-        t.lru.fill(0);
-        t.rrpv.fill(RRPV_MAX);
-        t.signature.fill(0);
         t.ready.fill(0);
+        t.policy.reset();
         t
     }
 
@@ -546,9 +607,12 @@ struct RecycleBin {
 }
 
 impl RecycleBin {
-    fn take(&mut self, lines: usize) -> Option<LineTables> {
+    fn take(&mut self, lines: usize, replacement: Replacement) -> Option<LineTables> {
         self.taken_since_put = true;
-        let i = self.tables.iter().position(|t| t.lines() == lines)?;
+        let i = self
+            .tables
+            .iter()
+            .position(|t| t.lines() == lines && t.policy.replacement() == replacement)?;
         Some(self.tables.swap_remove(i))
     }
 
@@ -729,15 +793,14 @@ mod tests {
         RECYCLE_BIN.with(|bin| bin.borrow().tables.iter().map(LineTables::lines).collect())
     }
 
-    fn table_lengths(c: &Cache) -> [usize; 6] {
-        [
-            c.tags.len(),
-            c.flags.len(),
-            c.lru.len(),
-            c.rrpv.len(),
-            c.signature.len(),
-            c.ready.len(),
-        ]
+    /// Lengths of the per-line arrays `c` holds: three shared, then its policy's.
+    fn table_lengths(c: &Cache) -> Vec<usize> {
+        let mut lengths = vec![c.tags.len(), c.flags.len(), c.ready.len()];
+        match &c.policy {
+            PolicyState::Lru(lru) => lengths.push(lru.stamps.len()),
+            PolicyState::Ship(ship) => lengths.extend([ship.rrpv.len(), ship.signature.len()]),
+        }
+        lengths
     }
 
     fn two_way(sets: u64) -> Cache {
@@ -779,20 +842,42 @@ mod tests {
     fn recycled_tables_never_change_a_caches_geometry() {
         drop(tiny_cache(Replacement::Lru)); // 2 sets x 4 ways
         let odd = two_way(3);
-        assert_eq!(table_lengths(&odd), [6; 6]);
+        assert_eq!(table_lengths(&odd), [6; 4]);
         drop(odd);
         // The 8-line tables were freed when the 6-line cache (a later cell) dropped.
         assert_eq!(bin_lengths(), vec![6]);
         let tiny = tiny_cache(Replacement::Lru);
-        assert_eq!(table_lengths(&tiny), [8; 6]);
+        assert_eq!(table_lengths(&tiny), [8; 4]);
         let odd = two_way(3);
-        assert_eq!(table_lengths(&odd), [6; 6], "reused at its own length");
+        assert_eq!(table_lengths(&odd), [6; 4], "reused at its own length");
         drop((tiny, odd));
         assert_eq!(
             bin_lengths().len(),
             2,
             "one cell's two caches, nothing older"
         );
+    }
+
+    #[test]
+    fn recycled_tables_never_cross_policies() {
+        let lru = tiny_cache(Replacement::Lru);
+        let tags = lru.tags.as_ptr();
+        drop(lru);
+        let ship = tiny_cache(Replacement::Ship);
+        assert_ne!(
+            ship.tags.as_ptr(),
+            tags,
+            "LRU tables are not handed to SHiP"
+        );
+        assert_eq!(ship.policy.replacement(), Replacement::Ship);
+        assert_eq!(table_lengths(&ship), [8; 5]);
+        let lru = tiny_cache(Replacement::Lru);
+        assert_eq!(
+            lru.tags.as_ptr(),
+            tags,
+            "the next LRU cache of that size gets them"
+        );
+        assert_eq!(table_lengths(&lru), [8; 4]);
     }
 
     #[test]

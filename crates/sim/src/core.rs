@@ -9,13 +9,12 @@
 //! request before that load completes, which is how pointer-chasing (latency-bound) code is
 //! expressed.
 
-use std::collections::VecDeque;
-
 use crate::batch::StepBatch;
 use crate::branch::GsharePredictor;
 use crate::config::SimConfig;
 use crate::dram::DramStats;
 use crate::hierarchy::MemoryHierarchy;
+use crate::ring::Ring;
 use crate::stats::{EpochStats, SimStats};
 use crate::trace::{InstrKind, TraceRecord, TraceSource};
 use crate::traits::{Coordinator, CoordinatorTelemetry, OffChipPredictor, Prefetcher};
@@ -62,14 +61,16 @@ impl SimResult {
 /// Used directly by [`Simulator`] for single-core runs and by
 /// [`crate::multicore::MultiCoreSimulator`] for round-robin multi-core runs.
 pub struct CoreEngine {
-    rob_size: usize,
     issue_width: u64,
-    commit_width: usize,
     epoch_len: u64,
     mispredict_penalty: u64,
 
-    rob: VecDeque<u64>,
-    recent_retires: VecDeque<u64>,
+    /// Retire cycles of the last `rob_size` instructions: the oldest is the cycle its ROB
+    /// slot frees. Starts zeroed, so a slot not yet used is free at cycle 0.
+    rob: Ring,
+    /// Retire cycles of the last `commit_width` instructions. Starts at `u64::MAX`, whose
+    /// `wrapping_add(1)` bound of 0 leaves a retire cycle unchanged until the ring fills.
+    recent_retires: Ring,
     fetch_cycle: u64,
     issued_this_cycle: u64,
     last_alloc_cycle: u64,
@@ -94,13 +95,11 @@ impl CoreEngine {
     /// Creates a fresh engine for a core described by `config`.
     pub fn new(config: &SimConfig) -> Self {
         Self {
-            rob_size: config.core.rob_size,
             issue_width: u64::from(config.core.issue_width.max(1)),
-            commit_width: config.core.commit_width.max(1) as usize,
             epoch_len: config.epoch_len.max(1),
             mispredict_penalty: config.core.mispredict_penalty,
-            rob: VecDeque::with_capacity(config.core.rob_size),
-            recent_retires: VecDeque::with_capacity(config.core.commit_width as usize),
+            rob: Ring::new(config.core.rob_size, 0),
+            recent_retires: Ring::new(config.core.commit_width as usize, u64::MAX),
             fetch_cycle: 0,
             issued_this_cycle: 0,
             last_alloc_cycle: 0,
@@ -140,12 +139,7 @@ impl CoreEngine {
     /// Processes one trace record against `hierarchy`.
     pub fn step(&mut self, record: TraceRecord, hierarchy: &mut MemoryHierarchy) {
         // --- allocate into the ROB ---
-        let rob_free_cycle = if self.rob.len() >= self.rob_size {
-            self.rob.pop_front().unwrap_or(0)
-        } else {
-            0
-        };
-        let mut alloc = self.fetch_cycle.max(rob_free_cycle);
+        let mut alloc = self.fetch_cycle.max(self.rob.oldest());
         if alloc == self.last_alloc_cycle {
             self.issued_this_cycle += 1;
             if self.issued_this_cycle >= self.issue_width {
@@ -191,22 +185,26 @@ impl CoreEngine {
         };
 
         // --- retire in order, bounded by commit width ---
-        let mut retire = completion.max(self.last_retire);
-        if self.recent_retires.len() >= self.commit_width {
-            if let Some(&old) = self.recent_retires.front() {
-                retire = retire.max(old + 1);
-            }
-            self.recent_retires.pop_front();
-        }
-        self.recent_retires.push_back(retire);
-        self.last_retire = retire;
-        self.rob.push_back(retire);
-        self.retired += 1;
+        self.retire(completion);
 
         // --- epoch boundary ---
         if self.retired - self.epoch_start_instr >= self.epoch_len {
             self.close_epoch(hierarchy);
         }
+    }
+
+    /// Retires the instruction that completes at `completion` — in order, at most
+    /// `commit_width` per cycle — and returns its retire cycle, which is also when its ROB
+    /// slot frees.
+    fn retire(&mut self, completion: u64) -> u64 {
+        let retire = completion
+            .max(self.last_retire)
+            .max(self.recent_retires.oldest().wrapping_add(1));
+        self.recent_retires.push(retire);
+        self.rob.push(retire);
+        self.last_retire = retire;
+        self.retired += 1;
+        retire
     }
 
     fn close_epoch(&mut self, hierarchy: &mut MemoryHierarchy) {
@@ -341,7 +339,76 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The ROB and commit window as `VecDeque`s, as `CoreEngine` kept them before the
+    /// rings: `rob_free_cycle` pops the oldest ROB entry once `rob_size` are held.
+    struct DequeModel {
+        rob_size: usize,
+        commit_width: usize,
+        rob: VecDeque<u64>,
+        recent_retires: VecDeque<u64>,
+        last_retire: u64,
+    }
+
+    impl DequeModel {
+        fn rob_free_cycle(&mut self) -> u64 {
+            if self.rob.len() >= self.rob_size {
+                self.rob.pop_front().unwrap_or(0)
+            } else {
+                0
+            }
+        }
+
+        fn retire(&mut self, completion: u64) -> u64 {
+            let mut retire = completion.max(self.last_retire);
+            if self.recent_retires.len() >= self.commit_width {
+                if let Some(&old) = self.recent_retires.front() {
+                    retire = retire.max(old + 1);
+                }
+                self.recent_retires.pop_front();
+            }
+            self.recent_retires.push_back(retire);
+            self.last_retire = retire;
+            self.rob.push_back(retire);
+            retire
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn rob_and_commit_rings_match_the_deque_model(
+            steps in prop::collection::vec((0u64..4, 0u64..300), 1..600),
+        ) {
+            for (rob_size, commit_width) in [(0, 1), (1, 1), (1, 4), (3, 1), (8, 2), (64, 6)] {
+                let mut config = SimConfig::golden_cove_like();
+                config.core.rob_size = rob_size;
+                config.core.commit_width = commit_width as u32;
+                let mut engine = CoreEngine::new(&config);
+                let mut model = DequeModel {
+                    rob_size,
+                    commit_width,
+                    rob: VecDeque::new(),
+                    recent_retires: VecDeque::new(),
+                    last_retire: 0,
+                };
+                // Allocation times creep forward; completions land up to 300 cycles later,
+                // so retires are sometimes bound by order, sometimes by commit width.
+                let mut now = 0;
+                for &(advance, latency) in &steps {
+                    prop_assert_eq!(engine.rob.oldest(), model.rob_free_cycle());
+                    now += advance;
+                    prop_assert_eq!(engine.retire(now + latency), model.retire(now + latency));
+                }
+            }
+        }
+    }
 
     fn alu_trace(n: u64) -> impl Iterator<Item = TraceRecord> {
         (0..n).map(|i| TraceRecord::alu(0x400 + (i % 64) * 4))

@@ -14,15 +14,15 @@
 //!   `ocp_issue_latency` cycles, hiding the on-chip lookup serialisation.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::cache::{Cache, CacheLevel, EvictedLine, LookupOutcome};
 use crate::config::SimConfig;
 use crate::dram::{Dram, DramRequestKind, DramStats};
 use crate::fastmap::{FxHashMap, FxHashSet};
+use crate::ring::Ring;
 use crate::stats::EpochStats;
-use crate::trace::{line_of, line_offset_in_page, page_of};
+use crate::trace::{line_of, line_offset_in_page, PAGE_SIZE};
 use crate::traits::{
     AccessEvent, CoordinationDecision, Coordinator, LoadContext, OffChipPredictor, PrefetchRequest,
     Prefetcher,
@@ -67,7 +67,7 @@ pub struct MemoryHierarchy {
     /// usefulness feedback routing.
     prefetch_provenance: FxHashMap<u64, usize>,
     /// Recently touched pages, for the `first_access_to_page` OCP feature.
-    recent_pages: VecDeque<u64>,
+    recent_pages: RecentPages,
     /// Rolling hash of the last few load PCs, for OCP context features.
     recent_pc_hash: u64,
 
@@ -111,7 +111,7 @@ impl MemoryHierarchy {
             pollution_victims: FxHashSet::default(),
             dram_prefetch_provenance: FxHashMap::default(),
             prefetch_provenance: FxHashMap::default(),
-            recent_pages: VecDeque::with_capacity(64),
+            recent_pages: RecentPages::new(),
             recent_pc_hash: 0,
             pf_batches: Vec::new(),
             pf_pool: Vec::new(),
@@ -142,11 +142,6 @@ impl MemoryHierarchy {
         self.apply_decision(initial);
     }
 
-    /// Returns the name of the attached coordinator, if any.
-    pub fn coordinator_name(&self) -> Option<&'static str> {
-        self.coordinator.as_ref().map(|c| c.name())
-    }
-
     /// Snapshot of the attached coordinator's learning internals (`None` when no
     /// coordinator is attached or the policy has none). Called by the core loop only when
     /// agent telemetry was explicitly enabled, so it is off the ordinary hot path.
@@ -168,11 +163,6 @@ impl MemoryHierarchy {
             }
         }
         self.decision = decision;
-    }
-
-    /// The decision currently in force.
-    pub fn current_decision(&self) -> &CoordinationDecision {
-        &self.decision
     }
 
     /// Snapshot of the DRAM channel statistics (for whole-run reporting). In multi-core
@@ -201,20 +191,12 @@ impl MemoryHierarchy {
     }
 
     fn load_context(&mut self, pc: u64, addr: u64) -> LoadContext {
-        let page = page_of(addr);
-        let first = !self.recent_pages.contains(&page);
-        if first {
-            if self.recent_pages.len() >= 64 {
-                self.recent_pages.pop_front();
-            }
-            self.recent_pages.push_back(page);
-        }
         LoadContext {
             pc,
             addr,
             line_offset_in_page: line_offset_in_page(addr) as u8,
             byte_offset: (addr & 63) as u8,
-            first_access_to_page: first,
+            first_access_to_page: self.recent_pages.insert(addr / PAGE_SIZE),
             recent_pc_hash: self.recent_pc_hash,
         }
     }
@@ -250,7 +232,7 @@ impl MemoryHierarchy {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
             self.l1d.lookup(addr, pc)
         };
-        self.feedback_prefetch_use(CacheLevel::L1d, line, &l1, cycle);
+        self.feedback_prefetch_use(line, &l1, cycle);
         self.trigger_prefetchers(CacheLevel::L1d, pc, addr, cycle, &l1, false);
         let l1_latency = self.l1d.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = l1 {
@@ -268,7 +250,7 @@ impl MemoryHierarchy {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
             self.l2c.lookup(addr, pc)
         };
-        self.feedback_prefetch_use(CacheLevel::L2c, line, &l2, l2_lookup_cycle);
+        self.feedback_prefetch_use(line, &l2, l2_lookup_cycle);
         self.trigger_prefetchers(CacheLevel::L2c, pc, addr, l2_lookup_cycle, &l2, false);
         let l2_latency = self.l2c.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = l2 {
@@ -288,7 +270,7 @@ impl MemoryHierarchy {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
             self.llc.lookup(addr, pc)
         };
-        self.feedback_prefetch_use(CacheLevel::Llc, line, &llc, llc_lookup_cycle);
+        self.feedback_prefetch_use(line, &llc, llc_lookup_cycle);
         let llc_latency = self.llc.latency();
         if let LookupOutcome::Hit { ready_cycle, .. } = llc {
             let completion = (llc_lookup_cycle + llc_latency).max(ready_cycle);
@@ -372,7 +354,7 @@ impl MemoryHierarchy {
             let _span = athena_probe::span(athena_probe::Phase::CacheLookup);
             self.l1d.lookup(addr, pc)
         };
-        self.feedback_prefetch_use(CacheLevel::L1d, line, &l1, cycle);
+        self.feedback_prefetch_use(line, &l1, cycle);
         self.trigger_prefetchers(CacheLevel::L1d, pc, addr, cycle, &l1, true);
         if l1.is_hit() {
             self.l1d.mark_dirty(addr);
@@ -388,7 +370,7 @@ impl MemoryHierarchy {
             self.l2c.lookup(addr, pc)
         };
         let l2_lookup_cycle = cycle + self.l1d.latency();
-        self.feedback_prefetch_use(CacheLevel::L2c, line, &l2, l2_lookup_cycle);
+        self.feedback_prefetch_use(line, &l2, l2_lookup_cycle);
         self.trigger_prefetchers(CacheLevel::L2c, pc, addr, cycle, &l2, true);
         if l2.is_hit() {
             self.fill_level(CacheLevel::L1d, line, false, pc, cycle);
@@ -402,7 +384,7 @@ impl MemoryHierarchy {
             self.llc.lookup(addr, pc)
         };
         let llc_lookup_cycle = l2_lookup_cycle + self.l2c.latency();
-        self.feedback_prefetch_use(CacheLevel::Llc, line, &llc, llc_lookup_cycle);
+        self.feedback_prefetch_use(line, &llc, llc_lookup_cycle);
         if llc.is_hit() {
             self.fill_level(CacheLevel::L2c, line, false, pc, cycle);
             self.fill_level(CacheLevel::L1d, line, false, pc, cycle);
@@ -430,13 +412,7 @@ impl MemoryHierarchy {
     /// `lookup_cycle` is the cycle the demand looked this level up: a first use whose data
     /// is still in flight at that point is useful but *late* (the demand stalls on the
     /// prefetch instead of missing outright).
-    fn feedback_prefetch_use(
-        &mut self,
-        level: CacheLevel,
-        line: u64,
-        outcome: &LookupOutcome,
-        lookup_cycle: u64,
-    ) {
+    fn feedback_prefetch_use(&mut self, line: u64, outcome: &LookupOutcome, lookup_cycle: u64) {
         if let LookupOutcome::Hit {
             first_use_of_prefetch: true,
             ready_cycle,
@@ -453,7 +429,6 @@ impl MemoryHierarchy {
             }
             // A DRAM-sourced prefetch that got used is not "inaccurate" for Figure 3.
             self.dram_prefetch_provenance.remove(&line);
-            let _ = level;
         }
     }
 
@@ -535,20 +510,7 @@ impl MemoryHierarchy {
         // TLP-style per-request filtering of L1D prefetches: the coordinator may drop a
         // prefetch whose data the OCP believes would come from off-chip main memory.
         if level == CacheLevel::L1d && self.coordinator.is_some() {
-            let conf = self
-                .ocp
-                .as_mut()
-                .map(|o| {
-                    o.confidence(&LoadContext {
-                        pc: trigger_pc,
-                        addr: req.addr,
-                        line_offset_in_page: line_offset_in_page(req.addr) as u8,
-                        byte_offset: (req.addr & 63) as u8,
-                        first_access_to_page: false,
-                        recent_pc_hash: self.recent_pc_hash,
-                    })
-                })
-                .unwrap_or(0.0);
+            let conf = self.ocp_confidence_for(trigger_pc, req.addr);
             if let Some(coord) = &mut self.coordinator {
                 if !coord.filter_l1d_prefetch(&req, conf) {
                     return;
@@ -611,7 +573,7 @@ impl MemoryHierarchy {
 
     /// Queries the OCP's confidence that the line containing `addr` would be served off-chip
     /// if fetched right now. Used by the TLP filter.
-    pub fn ocp_confidence_for(&mut self, pc: u64, addr: u64) -> f32 {
+    fn ocp_confidence_for(&mut self, pc: u64, addr: u64) -> f32 {
         let ctx = LoadContext {
             pc,
             addr,
@@ -732,10 +694,73 @@ impl MemoryHierarchy {
     }
 }
 
+/// The last 64 distinct pages loaded from: a FIFO ring plus a hashed membership index,
+/// so the per-load test is one probe instead of a 64-entry scan.
+///
+/// Pages are keyed by page number, not page base address: `FxHasher` multiplies, so the
+/// 12 zero low bits of a base address would give every page the same home bucket.
+struct RecentPages {
+    ring: Ring,
+    index: FxHashSet<u64>,
+}
+
+impl RecentPages {
+    fn new() -> Self {
+        // A page number has at most 52 bits, so the initial `u64::MAX` is never one.
+        Self {
+            ring: Ring::new(64, u64::MAX),
+            index: FxHashSet::with_capacity_and_hasher(64, Default::default()),
+        }
+    }
+
+    /// Records a load from `page`; returns `true` when `page` was not among the recent
+    /// pages, in which case it evicts the oldest.
+    fn insert(&mut self, page: u64) -> bool {
+        if !self.index.insert(page) {
+            return false;
+        }
+        self.index.remove(&self.ring.oldest());
+        self.ring.push(page);
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::trace::page_of;
     use crate::traits::PrefetcherInfo;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The ring-and-set index against the 64-entry `VecDeque` FIFO it replaced. Three
+        /// loads in four reuse one of 24 hot pages; the rest draw from 400, so the FIFO
+        /// both hits and overflows.
+        #[test]
+        fn recent_page_index_matches_the_deque_fifo(
+            loads in prop::collection::vec((0u32..4, 0u64..400, 0u64..4096), 1..3000),
+        ) {
+            let mut h = hierarchy();
+            let mut fifo: VecDeque<u64> = VecDeque::new();
+            for (kind, page, offset) in loads {
+                let addr = (if kind == 0 { page } else { page % 24 } << 12) | offset;
+                let first = !fifo.contains(&page_of(addr));
+                if first {
+                    if fifo.len() >= 64 {
+                        fifo.pop_front();
+                    }
+                    fifo.push_back(page_of(addr));
+                }
+                let ctx = h.load_context(0x400, addr);
+                prop_assert_eq!(ctx.first_access_to_page, first);
+            }
+        }
+    }
 
     /// A trivial next-line prefetcher used only for hierarchy tests.
     struct TestNextLine {

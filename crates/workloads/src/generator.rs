@@ -96,7 +96,10 @@ pub struct TraceGenerator {
     /// Per-pattern scratch state.
     current_node: u64,
     burst_remaining: u32,
+    /// The current group of instructions, oldest first; `next` reads it forward from
+    /// `cursor` and refills it once drained.
     pending: Vec<TraceRecord>,
+    cursor: usize,
 }
 
 impl TraceGenerator {
@@ -111,6 +114,7 @@ impl TraceGenerator {
             current_node: seed % 97,
             burst_remaining: 0,
             pending: Vec::new(),
+            cursor: 0,
         }
     }
 
@@ -341,8 +345,6 @@ impl TraceGenerator {
                 }
             }
         }
-        // Oldest first.
-        self.pending.reverse();
     }
 }
 
@@ -350,11 +352,15 @@ impl Iterator for TraceGenerator {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        if self.pending.is_empty() {
+        if self.cursor == self.pending.len() {
+            self.pending.clear();
+            self.cursor = 0;
             self.refill();
         }
         self.instr_count += 1;
-        self.pending.pop()
+        let record = self.pending[self.cursor];
+        self.cursor += 1;
+        Some(record)
     }
 }
 
@@ -387,6 +393,26 @@ mod tests {
             }
         }
         (loads, stores, branches, dependent)
+    }
+
+    /// The reader `next` replaced: reverse each refilled group, then pop from the back.
+    fn reverse_pop_next(g: &mut TraceGenerator) -> TraceRecord {
+        if g.pending.is_empty() {
+            g.refill();
+            g.pending.reverse();
+        }
+        g.instr_count += 1;
+        g.pending.pop().expect("a refill emits at least one record")
+    }
+
+    #[test]
+    fn the_cursor_reader_matches_the_reverse_pop_reader_on_every_workload() {
+        for w in crate::all_workloads() {
+            let mut old = w.trace();
+            for (i, record) in w.trace().take(200_000).enumerate() {
+                assert_eq!(record, reverse_pop_next(&mut old), "{} record {i}", w.name);
+            }
+        }
     }
 
     #[test]
