@@ -16,9 +16,8 @@
 //! * **In-order collection** — results come back in submission order with per-cell
 //!   wall-clock accounting ([`Engine::run`]).
 //! * **Machine-readable results** — a hand-rolled JSON writer ([`json::Json`]) serialises
-//!   aggregate [`ExperimentTable`]s, per-cell records ([`with_recording`]) and the
-//!   `BENCH_engine.json` performance snapshot ([`report::BenchReport`]); every document
-//!   declares a shared [`report::Schema`] constant.
+//!   aggregate [`ExperimentTable`]s and per-cell records ([`with_recording`]); every
+//!   document declares a shared [`report::Schema`] constant.
 //! * **Result caching** — an optional persistent content-addressed store
 //!   ([`StoreHandle`], crate `athena-store`) serves previously simulated cells, keyed by
 //!   [`Job::identity_hash`], so warm re-runs simulate nothing and killed sweeps resume

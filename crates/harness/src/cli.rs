@@ -52,7 +52,7 @@ run options:
                       count and under worker failure. The store, event log and merge
                       stay on the coordinator; workers send each cell's wall-clock and
                       phase profile back with its result, so --events and --profile
-                      compose with --workers. Incompatible with --bench-report
+                      compose with --workers
   --worker            internal: run as a worker process serving cells on stdin/stdout;
                       spawned by a `--workers` coordinator, never useful by hand
   --trace-dir <DIR>   replay recorded traces from DIR (written by `trace record`):
@@ -71,8 +71,7 @@ result store:
                       every finished cell is cached under its identity hash, and a warm
                       re-run with the same options simulates nothing while producing
                       byte-identical tables; a killed sweep resumes paying only for the
-                      missing cells. Incompatible with --bench-report (cached cells
-                      would corrupt the timings). Inspect the store with `results`
+                      missing cells. Inspect the store with `results`
   --store-policy <P>  how the batch uses the store (default rw): 'rw' reads and writes,
                       'ro' reads but never writes (no writer lock taken), 'refresh'
                       re-simulates everything and overwrites the cached records,
@@ -84,9 +83,6 @@ output:
   --json              also write one <fig>.json per experiment (aggregate table plus
                       per-cell records: label, derived seed, wall-clock, outcome) into
                       --out DIR or results/
-  --bench-report      instead of printing tables: time every selected experiment at
-                      --jobs 1 vs the parallel worker count, verify both tables match
-                      byte-for-byte, and write the BENCH_engine.json snapshot
 
 observability (neither flag changes a table byte — observation is not identity):
   --events <FILE>     write a structured JSONL event log (schema athena-events-v1) of
@@ -205,8 +201,7 @@ run options:
                        leaderboard is byte-identical at any value
   --workers <N>        distribute evaluation across N spawned worker processes (see
                        `figures --help` for the protocol); the leaderboard is
-                       byte-identical at any worker count. Incompatible with
-                       --bench-report
+                       byte-identical at any worker count
   --worker             internal: run as a worker process serving cells on
                        stdin/stdout; spawned by a `--workers` coordinator
   --trace-dir <DIR>    replay recorded traces from DIR (record them with
@@ -217,8 +212,7 @@ result store:
   --store <DIR>        attach the persistent result store in DIR (see `figures --help`):
                        rung budgets are part of each cell's identity, so re-entering a
                        killed or widened search re-simulates only the unseen
-                       (candidate × workload × budget) cells. Incompatible with
-                       --bench-report
+                       (candidate × workload × budget) cells
   --store-policy <P>   'rw' (default), 'ro', 'refresh' or 'off'
 
 output:
@@ -228,10 +222,6 @@ output:
                        --tuned-config <DIR>/best.json`, which reproduces the claimed
                        speedup exactly under matching options)
   --top <N>            rows of the leaderboard to print (default 10)
-  --bench-report       additionally time the search at --jobs 1 vs the parallel worker
-                       count, verify both leaderboards match byte-for-byte, and write
-                       the BENCH_tune.json snapshot (into --out DIR when given,
-                       otherwise the working directory, next to BENCH_engine.json)
 
 observability:
   --events <FILE>      write a structured JSONL event log (schema athena-events-v1) of
@@ -277,8 +267,8 @@ commands:
              instants for store hits and worker deaths. Writes trace.json next to
              the log unless --out says otherwise
   metrics    print the engine metrics snapshot (schema athena-metrics-v1) embedded
-             in a JSON report (a <fig>.json from `figures --json`, BENCH_sim.json
-             or BENCH_tune.json): counters, latency histograms and per-worker
+             in a JSON report (a <fig>.json from `figures --json` or
+             BENCH_sim.json): counters, latency histograms and per-worker
              utilization
 
 options:
@@ -409,8 +399,15 @@ mod tests {
     #[test]
     fn help_texts_document_the_tuning_subsystem() {
         assert!(FIGURES_HELP.contains("--tuned-config"));
-        for flag in ["--strategy", "--samples", "--objective", "--bench-report"] {
+        for flag in ["--strategy", "--samples", "--objective", "--rungs"] {
             assert!(TUNE_HELP.contains(flag), "missing {flag}");
+        }
+        // Whole-run timing lives in the repository's benchmark; no CLI writes a
+        // serial-vs-parallel snapshot.
+        for help in [FIGURES_HELP, TUNE_HELP, RESULTS_HELP] {
+            for gone in ["--bench-report", "BENCH_engine", "BENCH_tune"] {
+                assert!(!help.contains(gone), "help still names {gone}");
+            }
         }
     }
 }

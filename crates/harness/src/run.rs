@@ -9,9 +9,8 @@
 //!
 //! Each field maps onto a `figures` CLI flag (`--instructions`, `--workloads`, `--jobs`,
 //! `--trace-dir`); the CLI additionally offers output-mode flags that never reach the
-//! experiments themselves — `--out DIR` (CSV files), `--json` (per-figure JSON reports
-//! with per-cell records) and `--bench-report` (serial-vs-parallel timing snapshot with a
-//! byte-identity check, written to `BENCH_engine.json`).
+//! experiments themselves — `--out DIR` (CSV files) and `--json` (per-figure JSON reports
+//! with per-cell records).
 
 use std::path::PathBuf;
 
@@ -31,9 +30,9 @@ pub struct RunOptions {
     /// Instructions simulated per workload (the `--instructions` flag).
     pub instructions: u64,
     /// Optional cap on the number of workloads used by suite-wide experiments (the
-    /// `--workloads` flag; useful for quick runs and Criterion benchmarks). `None` means
-    /// all workloads. The cap keeps a balanced interleaving of designed-friendly and
-    /// designed-adverse workloads — see [`crate::experiments::workload_set`].
+    /// `--workloads` flag; useful for quick runs). `None` means all workloads. The cap
+    /// keeps a balanced interleaving of designed-friendly and designed-adverse workloads —
+    /// see [`crate::experiments::workload_set`].
     pub workload_limit: Option<usize>,
     /// Number of simulation cells run concurrently by the experiment engine (the `--jobs`
     /// flag; the CLI defaults it to every hardware thread). `1` is the exact serial path
@@ -92,7 +91,7 @@ impl RunOptions {
         }
     }
 
-    /// Reduced defaults used by Criterion benchmarks and integration tests.
+    /// Reduced defaults (the `--quick` preset) used by integration tests.
     pub fn quick() -> Self {
         Self {
             instructions: 40_000,

@@ -1,8 +1,9 @@
 //! Distributed-execution determinism acceptance tests (ISSUE 9):
 //!
-//! * every `figures --all --quick` table is byte-identical across the in-process pool,
-//!   one worker process and four worker processes — real subprocesses, spawned by the
-//!   coordinator and fed job shards over stdin/stdout;
+//! * every `figures --all --quick` table is byte-identical across the serial path
+//!   (`--jobs 1`), the in-process pool at four threads, one worker process and four
+//!   worker processes — real subprocesses, spawned by the coordinator and fed job shards
+//!   over stdin/stdout;
 //! * the identity holds under `--trace-dir` replay and against a store warmed by a
 //!   distributed run (which then simulates nothing);
 //! * `tune --quick` leaderboards are byte-identical at any worker count.
@@ -36,8 +37,18 @@ fn expect_success(out: &std::process::Output, what: &str) {
 #[test]
 fn all_quick_tables_are_byte_identical_at_any_worker_count() {
     let root = temp_dir("det-all");
-    let dirs = [root.join("inproc"), root.join("w1"), root.join("w4")];
-    let runs: [&[&str]; 3] = [&[], &["--workers", "1"], &["--workers", "4"]];
+    let dirs = [
+        root.join("serial"),
+        root.join("j4"),
+        root.join("w1"),
+        root.join("w4"),
+    ];
+    let runs: [&[&str]; 4] = [
+        &["--jobs", "1"],
+        &["--jobs", "4"],
+        &["--workers", "1"],
+        &["--workers", "4"],
+    ];
     for (dir, workers) in dirs.iter().zip(runs) {
         let dir_s = dir.to_str().unwrap();
         let mut extra: Vec<&str> = vec!["--all", "--out", dir_s];
@@ -56,8 +67,9 @@ fn all_quick_tables_are_byte_identical_at_any_worker_count() {
         "--all writes every experiment table, got {tables:?}"
     );
     for name in &tables {
-        assert_same_bytes(&dirs[0].join(name), &dirs[1].join(name));
-        assert_same_bytes(&dirs[0].join(name), &dirs[2].join(name));
+        for dir in &dirs[1..] {
+            assert_same_bytes(&dirs[0].join(name), &dir.join(name));
+        }
     }
     fs::remove_dir_all(&root).unwrap();
 }
